@@ -26,6 +26,7 @@ func TestExamplesRun(t *testing.T) {
 		{"policies", "policy comparison"},
 		{"writeback", "writeback comparison"},
 		{"fastforward", "fast-forward vs exact"},
+		{"chaos", "the restart cost"},
 	}
 	for _, c := range cases {
 		c := c

@@ -38,21 +38,8 @@ func (m *Model) writebackWork(now float64) bool {
 	if m.dirtyBytes() > m.dirtyBgLimit() {
 		return true
 	}
-	f := m.oldestDirty()
+	f := m.dirtyQ.head
 	return f != nil && now-f.entry >= m.cfg.DirtyExpire
-}
-
-// oldestDirty pops lazily-cleaned entries and returns the oldest dirty
-// folio, or nil.
-func (m *Model) oldestDirty() *folio {
-	for len(m.dirtyQ) > 0 {
-		f := m.dirtyQ[0]
-		if f.dirty {
-			return f
-		}
-		m.dirtyQ = m.dirtyQ[1:]
-	}
-	return nil
 }
 
 // writebackBatch cleans up to WritebackBatch bytes of the oldest dirty
@@ -61,25 +48,24 @@ func (m *Model) oldestDirty() *folio {
 func (m *Model) writebackBatch(c core.Caller) {
 	budget := m.cfg.WritebackBatch
 	for budget > 0 {
-		f := m.oldestDirty()
+		f := m.dirtyQ.head
 		if f == nil {
 			return
 		}
 		// Gather folios of the same file from the queue head run.
-		file := f.file
+		name := f.fs.name
 		var bytes int64
 		for budget > 0 {
-			g := m.oldestDirty()
-			if g == nil || g.file != file {
+			g := m.dirtyQ.head
+			if g == nil || g.fs.name != name {
 				break
 			}
-			m.dirtyQ = m.dirtyQ[1:]
 			m.markClean(g)
 			bytes += m.cfg.FolioSize
 			budget -= m.cfg.FolioSize
 		}
 		if bytes > 0 {
-			c.DiskWrite(file, bytes) // blocking; state may change meanwhile
+			c.DiskWrite(name.name, bytes) // blocking; state may change meanwhile
 		}
 	}
 }
@@ -131,13 +117,12 @@ func (m *Model) ensureFree(c core.Caller, need int64) error {
 			continue
 		}
 		// No process context (sequential tests): flush synchronously.
-		f := m.oldestDirty()
+		f := m.dirtyQ.head
 		if f == nil {
 			return ErrOutOfMemory
 		}
-		m.dirtyQ = m.dirtyQ[1:]
 		m.markClean(f)
-		c.DiskWrite(f.file, m.cfg.FolioSize)
+		c.DiskWrite(f.fs.name.name, m.cfg.FolioSize)
 	}
 	return nil
 }
@@ -171,6 +156,8 @@ func (m *Model) ReadFile(c core.Caller, file string, n, fileSize int64) error {
 	if fs.size < fileSize {
 		fs.size = fileSize // pre-existing input data
 	}
+	_, end := m.folioRange(0, n)
+	fs.reserve(end)
 	for off := int64(0); off < n; off += m.cfg.ReadChunk {
 		cs := m.cfg.ReadChunk
 		if n-off < cs {
@@ -179,7 +166,7 @@ func (m *Model) ReadFile(c core.Caller, file string, n, fileSize int64) error {
 		lo, hi := m.folioRange(off, cs)
 		var missFolios int64
 		for i := lo; i < hi; i++ {
-			if _, ok := fs.folios[i]; !ok {
+			if fs.at(i) == nil {
 				missFolios++
 			}
 		}
@@ -194,19 +181,16 @@ func (m *Model) ReadFile(c core.Caller, file string, n, fileSize int64) error {
 		if missBytes > 0 {
 			c.DiskRead(file, missBytes)
 			for i := lo; i < hi; i++ {
-				if _, ok := fs.folios[i]; ok {
-					continue
+				if fs.at(i) == nil {
+					m.insert(fs, i)
 				}
-				f := &folio{file: file, idx: i}
-				fs.folios[i] = f
-				m.inactive.pushBack(f)
 			}
 		}
 		if hitBytes > 0 {
 			c.MemRead(hitBytes)
 		}
 		for i := lo; i < hi; i++ {
-			if f, ok := fs.folios[i]; ok {
+			if f := fs.at(i); f != nil {
 				m.touch(f)
 			}
 		}
@@ -224,18 +208,14 @@ func (m *Model) ReadFile(c core.Caller, file string, n, fileSize int64) error {
 // WriteFile implements engine.CacheModel: writeback semantics with
 // background writeback and balance_dirty_pages throttling.
 func (m *Model) WriteFile(c core.Caller, file string, size int64) error {
-	m.writing[file]++
-	defer func() {
-		if m.writing[file] <= 1 {
-			delete(m.writing, file)
-		} else {
-			m.writing[file]--
-		}
-	}()
 	fs := m.state(file)
+	fs.name.writers++
+	defer m.closeWriter(fs.name)
 	// Appends start after previously written data, evicted or not.
 	start := fs.size
 	fs.size += size
+	_, end := m.folioRange(start, size)
+	fs.reserve(end)
 	for off := start; off < start+size; off += m.cfg.ReadChunk {
 		cs := m.cfg.ReadChunk
 		if start+size-off < cs {
@@ -252,23 +232,20 @@ func (m *Model) WriteFile(c core.Caller, file string, size int64) error {
 			if p := callerProc(c); p != nil {
 				m.waitProgress(p)
 			} else {
-				f := m.oldestDirty()
+				f := m.dirtyQ.head
 				if f == nil {
 					break
 				}
-				m.dirtyQ = m.dirtyQ[1:]
 				m.markClean(f)
-				c.DiskWrite(f.file, m.cfg.FolioSize)
+				c.DiskWrite(f.fs.name.name, m.cfg.FolioSize)
 			}
 		}
 		c.MemWrite(cs)
 		now := c.Now()
 		for i := lo; i < hi; i++ {
-			f, ok := fs.folios[i]
-			if !ok {
-				f = &folio{file: file, idx: i}
-				fs.folios[i] = f
-				m.inactive.pushBack(f)
+			f := fs.at(i)
+			if f == nil {
+				f = m.insert(fs, i)
 			}
 			m.markDirty(f, now)
 		}

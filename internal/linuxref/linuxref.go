@@ -1,5 +1,5 @@
 // Package linuxref is the repository's stand-in for the paper's "Real
-// execution" measurements (see DESIGN.md §1): a folio-granularity emulator
+// execution" measurements (see PAPER.md): a folio-granularity emulator
 // of the Linux page cache with the kernel mechanisms the paper's
 // block-level model deliberately simplifies away:
 //
@@ -16,11 +16,33 @@
 //
 // Driven with the measured asymmetric bandwidths of Table III, it produces
 // the reference timings/profiles the simulators are scored against.
+//
+// # Complexity
+//
+// The experiment grids spend most of their time here, so reclaim and
+// writeback are indexed, the way internal/core indexes its Manager. Each
+// file keeps a dense folio table, and each folio points at its file's state
+// and, through it, at the per-name open-writer count. Dirty folios sit on
+// an intrusive FIFO in the order they were dirtied. Each of the two reclaim
+// passes over the inactive list resumes at its own cursor, past the folios
+// it already knows it must skip; cleaning a folio or closing a name's last
+// writer moves the cursor back to the folios that became reclaimable, so a
+// skipped folio is visited again only after such a change. Per operation
+// (restart-at-head scan → resumable cursors):
+//
+//	folio lookup                 map access               → slice index
+//	protection test              string-keyed map lookup  → pointer read
+//	reclaim scan, per call       whole inactive list      → folios past the cursor
+//	last writer's close          O(1)                     → table slots of the name
+//
+// On a write-heavy run the scans visit a small constant number of folios
+// per folio inserted, where restarting at the head is quadratic.
 package linuxref
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/des"
@@ -94,19 +116,36 @@ func (c Config) Validate() error {
 
 // folio is one cache unit.
 type folio struct {
-	file       string
-	idx        int64
-	dirty      bool
-	referenced bool
-	entry      float64 // time dirtied (writeback expiry)
-	prev, next *folio
-	list       *folioList
+	fs           *fileState
+	idx          int64
+	dirty        bool
+	referenced   bool
+	entry        float64 // time dirtied (writeback expiry)
+	seq          uint64  // list insertion stamp: orders folios in O(1)
+	prev, next   *folio
+	list         *folioList
+	dprev, dnext *folio // dirty FIFO links (valid while dirty)
 }
 
-// folioList is an intrusive LRU list: front = LRU, back = MRU.
+// Reclaim passes over the inactive list (see scanInactive). Each has its
+// own resumable cursor.
+const (
+	passProtect = iota // skips dirty folios and folios of open-for-write files
+	passDirty          // skips dirty folios only
+	numPasses
+)
+
+// folioList is an intrusive LRU list: front = LRU, back = MRU. pushBack
+// stamps each folio with a strictly increasing seq. cursor[p] is where
+// reclaim pass p resumes: every folio before it is known to be skipped by
+// that pass, and nil means every listed folio is. Only the inactive list's
+// cursors are read; the list operations keep them valid, and the Model
+// rewinds them when a folio stops being skipped.
 type folioList struct {
 	head, tail *folio
 	count      int64
+	seq        uint64
+	cursor     [numPasses]*folio
 }
 
 func (l *folioList) pushBack(f *folio) {
@@ -123,11 +162,23 @@ func (l *folioList) pushBack(f *folio) {
 	}
 	l.tail = f
 	l.count++
+	l.seq++
+	f.seq = l.seq
+	for p, c := range l.cursor {
+		if c == nil {
+			l.cursor[p] = f
+		}
+	}
 }
 
 func (l *folioList) remove(f *folio) {
 	if f.list != l {
 		panic("linuxref: folio not in this list")
+	}
+	for p, c := range l.cursor {
+		if c == f {
+			l.cursor[p] = f.next
+		}
 	}
 	if f.prev != nil {
 		f.prev.next = f.next
@@ -143,11 +194,77 @@ func (l *folioList) remove(f *folio) {
 	l.count--
 }
 
+// rewind moves pass p's cursor back to f, a folio of l, if f precedes it.
+func (l *folioList) rewind(p int, f *folio) {
+	if c := l.cursor[p]; c == nil || f.seq < c.seq {
+		l.cursor[p] = f
+	}
+}
+
+// dirtyFIFO threads every dirty folio in the order it was dirtied, so entry
+// never decreases from head to tail.
+type dirtyFIFO struct{ head, tail *folio }
+
+func (q *dirtyFIFO) pushBack(f *folio) {
+	f.dprev, f.dnext = q.tail, nil
+	if q.tail != nil {
+		q.tail.dnext = f
+	} else {
+		q.head = f
+	}
+	q.tail = f
+}
+
+func (q *dirtyFIFO) remove(f *folio) {
+	if f.dprev != nil {
+		f.dprev.dnext = f.dnext
+	} else {
+		q.head = f.dnext
+	}
+	if f.dnext != nil {
+		f.dnext.dprev = f.dprev
+	} else {
+		q.tail = f.dprev
+	}
+	f.dprev, f.dnext = nil, nil
+}
+
+// fileName is the per-name state that outlives InvalidateFile: the open
+// writer count (protection is keyed by name, so a re-created file is
+// protected while an earlier handle is still being written) and the
+// name's fileStates that hold cached folios, so that the last writer's
+// close can find every folio it unprotects.
+type fileName struct {
+	name    string
+	writers int
+	states  []*fileState
+}
+
 // fileState tracks a file's folio population and its written size (write
 // offsets append after existing data even when folios were evicted).
+// InvalidateFile drops a fileState from Model.files; reads and writes
+// already in flight keep using it.
 type fileState struct {
-	folios map[int64]*folio
+	name   *fileName
+	folios []*folio // by folio number; nil = not cached
+	live   int64    // non-nil folios
 	size   int64
+	onName bool // registered in name.states
+}
+
+// reserve sizes fs's table for folios below n in one allocation.
+func (fs *fileState) reserve(n int64) {
+	if n > int64(cap(fs.folios)) {
+		fs.folios = slices.Grow(fs.folios, int(n)-len(fs.folios))
+	}
+}
+
+// at returns folio i, or nil if it is not cached.
+func (fs *fileState) at(i int64) *folio {
+	if i < int64(len(fs.folios)) {
+		return fs.folios[i]
+	}
+	return nil
 }
 
 // Model is the reference kernel for one host. It implements
@@ -155,12 +272,15 @@ type fileState struct {
 type Model struct {
 	cfg      Config
 	files    map[string]*fileState
+	names    map[string]*fileName // never deleted
 	inactive folioList
 	active   folioList
-	dirtyQ   []*folio // FIFO by entry time; lazily compacted
-	dirty    int64    // folio count
-	anon     int64    // bytes
-	writing  map[string]int
+	dirtyQ   dirtyFIFO
+	dirty    int64  // folio count
+	anon     int64  // bytes
+	scanned  int64  // folios visited by scanInactive
+	spare    *folio // evicted folios for reuse, linked through next
+	spareN   int
 
 	k        *des.Kernel
 	mkCaller func(*des.Proc) core.Caller
@@ -176,9 +296,9 @@ func New(cfg Config) (*Model, error) {
 		return nil, err
 	}
 	return &Model{
-		cfg:     cfg,
-		files:   make(map[string]*fileState),
-		writing: make(map[string]int),
+		cfg:   cfg,
+		files: make(map[string]*fileState),
+		names: make(map[string]*fileName),
 	}, nil
 }
 
@@ -205,14 +325,70 @@ func (m *Model) lowWater() int64 {
 func (m *Model) state(file string) *fileState {
 	fs := m.files[file]
 	if fs == nil {
-		fs = &fileState{folios: make(map[int64]*folio)}
+		n := m.names[file]
+		if n == nil {
+			n = &fileName{name: file}
+			m.names[file] = n
+		}
+		fs = &fileState{name: n}
 		m.files[file] = fs
 	}
 	return fs
 }
 
-func (m *Model) protected(file string) bool {
-	return m.cfg.ProtectOpenWrites && m.writing[file] > 0
+// insert caches a new clean folio i of fs at the inactive MRU end.
+func (m *Model) insert(fs *fileState, i int64) *folio {
+	if grow := i + 1 - int64(len(fs.folios)); grow > 0 {
+		fs.folios = append(fs.folios, make([]*folio, grow)...)
+	}
+	f := m.spare
+	if f != nil {
+		m.spare, m.spareN = f.next, m.spareN-1
+		*f = folio{fs: fs, idx: i}
+	} else {
+		f = &folio{fs: fs, idx: i}
+	}
+	fs.folios[i] = f
+	fs.live++
+	if !fs.onName {
+		fs.onName = true
+		fs.name.states = append(fs.name.states, fs)
+	}
+	m.inactive.pushBack(f)
+	return f
+}
+
+func (m *Model) protected(f *folio) bool {
+	return m.cfg.ProtectOpenWrites && f.fs.name.writers > 0
+}
+
+// closeWriter ends one WriteFile on n. When the name's last writer closes,
+// its clean inactive folios lose their protection, so the protection pass
+// must look at them again: its cursor rewinds to the earliest of them. The
+// walk also forgets fileStates with no cached folio left.
+func (m *Model) closeWriter(n *fileName) {
+	n.writers--
+	if n.writers > 0 {
+		return
+	}
+	kept := n.states[:0]
+	for _, fs := range n.states {
+		if fs.live == 0 {
+			fs.onName = false
+			continue
+		}
+		kept = append(kept, fs)
+		if !m.cfg.ProtectOpenWrites {
+			continue
+		}
+		for _, f := range fs.folios {
+			if f != nil && f.list == &m.inactive && !f.dirty {
+				m.inactive.rewind(passProtect, f)
+			}
+		}
+	}
+	clear(n.states[len(kept):])
+	n.states = kept
 }
 
 // markDirty flags f dirty at time now and queues it for writeback.
@@ -221,14 +397,25 @@ func (m *Model) markDirty(f *folio, now float64) {
 		f.dirty = true
 		f.entry = now
 		m.dirty++
-		m.dirtyQ = append(m.dirtyQ, f)
+		m.dirtyQ.pushBack(f)
 	}
 }
 
+// markClean unqueues a dirty f. An inactive folio that was skipped for
+// being dirty may now be reclaimable, so the cursors rewind to it: the
+// dirty-only pass's always, the protection pass's unless f is protected.
 func (m *Model) markClean(f *folio) {
-	if f.dirty {
-		f.dirty = false
-		m.dirty--
+	if !f.dirty {
+		return
+	}
+	f.dirty = false
+	m.dirty--
+	m.dirtyQ.remove(f)
+	if f.list == &m.inactive {
+		m.inactive.rewind(passDirty, f)
+		if !m.protected(f) {
+			m.inactive.rewind(passProtect, f)
+		}
 	}
 }
 
@@ -275,13 +462,24 @@ func (m *Model) reclaim(need int64) bool {
 // unreferenced folios (skipping protected files when honorProtection) and
 // giving referenced folios their second chance. It reports whether any
 // folio was actually evicted.
+//
+// The walk starts at the pass's cursor rather than the list head: the
+// folios before it would all be skipped, and skipping changes nothing. It
+// leaves the cursor where it stopped, so the dirty and protected folios a
+// write-heavy run piles up at the head are passed once, not on every
+// reclaim.
 func (m *Model) scanInactive(need int64, honorProtection bool) bool {
+	pass := passDirty
+	if honorProtection {
+		pass = passProtect
+	}
 	evicted := false
-	f := m.inactive.head
+	f := m.inactive.cursor[pass]
 	for f != nil && m.free() < need {
+		m.scanned++
 		next := f.next
 		switch {
-		case f.dirty || (honorProtection && m.protected(f.file)):
+		case f.dirty || (honorProtection && m.protected(f)):
 			// Writeback or protection must release it first.
 		case f.referenced:
 			m.inactive.remove(f)
@@ -294,6 +492,7 @@ func (m *Model) scanInactive(need int64, honorProtection bool) bool {
 		}
 		f = next
 	}
+	m.inactive.cursor[pass] = f
 	return evicted
 }
 
@@ -317,9 +516,21 @@ func (m *Model) forceShrinkActive(need int64) bool {
 	return demoted
 }
 
-// untable removes an already-unlisted folio from its file table.
+// spareCap bounds the evicted folios kept for reuse. Reclaim mostly makes
+// room for the next inserts, so a short list catches nearly all of them
+// without pinning memory that anonymous use took over.
+const spareCap = 4096
+
+// untable removes an evicted (already unlisted) folio from its file table
+// and keeps it for reuse by insert.
 func (m *Model) untable(f *folio) {
-	delete(m.files[f.file].folios, f.idx)
+	f.fs.folios[f.idx] = nil
+	f.fs.live--
+	if m.spareN < spareCap {
+		*f = folio{next: m.spare}
+		m.spare = f
+		m.spareN++
+	}
 }
 
 // Stats / introspection -----------------------------------------------------
@@ -345,8 +556,8 @@ func (m *Model) Snapshot() core.Stats {
 func (m *Model) CachedByFile() map[string]int64 {
 	out := make(map[string]int64, len(m.files))
 	for name, fs := range m.files {
-		if n := int64(len(fs.folios)); n > 0 {
-			out[name] = n * m.cfg.FolioSize
+		if fs.live > 0 {
+			out[name] = fs.live * m.cfg.FolioSize
 		}
 	}
 	return out
@@ -358,12 +569,15 @@ func (m *Model) InvalidateFile(file string) {
 	if fs == nil {
 		return
 	}
+	// Unlist before cleaning: a dropped folio needs no cursor rewind. The
+	// slots go too, so a write still in flight on fs caches fresh folios.
 	for _, f := range fs.folios {
-		m.markClean(f)
-		if f.list != nil {
+		if f != nil {
 			f.list.remove(f)
+			m.markClean(f)
 		}
 	}
+	fs.folios, fs.live = nil, 0
 	delete(m.files, file)
 }
 
@@ -375,28 +589,123 @@ func (m *Model) ReleaseAnon(n int64) {
 	m.anon -= n
 }
 
-// CheckInvariants verifies internal consistency (tests).
+// CheckInvariants verifies internal consistency, including every index:
+// the file tables, the list links and seq order, the scan cursors, and the
+// dirty FIFO. It costs O(cached folios + file table slots).
 func (m *Model) CheckInvariants() error {
-	var dirtyCount, listed int64
-	for name, fs := range m.files {
-		for idx, f := range fs.folios {
-			if f.file != name || f.idx != idx {
-				return fmt.Errorf("folio table corruption for %s[%d]", name, idx)
+	// Lists: links, counts, strictly increasing seq, tabled folios, and the
+	// inactive cursors' skipped prefixes.
+	states := make(map[*fileState]bool, len(m.files))
+	var listed, dirtyListed int64
+	for _, l := range []*folioList{&m.inactive, &m.active} {
+		var n int64
+		var prev *folio
+		before := [numPasses]bool{true, true}
+		for f := l.head; f != nil; f = f.next {
+			if n++; n > l.count {
+				return fmt.Errorf("list holds more than its count %d", l.count)
 			}
-			if f.list == nil {
-				return fmt.Errorf("tabled folio %s[%d] not in any list", name, idx)
+			if f.list != l || f.prev != prev {
+				return fmt.Errorf("list link corruption at %s[%d]", f.fs.name.name, f.idx)
+			}
+			if prev != nil && f.seq <= prev.seq {
+				return fmt.Errorf("seq %d after %d at %s[%d]", f.seq, prev.seq, f.fs.name.name, f.idx)
+			}
+			if f.fs.at(f.idx) != f {
+				return fmt.Errorf("listed folio %s[%d] not tabled", f.fs.name.name, f.idx)
+			}
+			for p := range before {
+				if l.cursor[p] == f {
+					before[p] = false
+				}
+			}
+			if l == &m.inactive {
+				if before[passProtect] && !f.dirty && !m.protected(f) {
+					return fmt.Errorf("reclaimable folio %s[%d] before the protection cursor", f.fs.name.name, f.idx)
+				}
+				if before[passDirty] && !f.dirty {
+					return fmt.Errorf("clean folio %s[%d] before the dirty-only cursor", f.fs.name.name, f.idx)
+				}
 			}
 			if f.dirty {
-				dirtyCount++
+				dirtyListed++
 			}
-			listed++
+			states[f.fs] = true
+			prev = f
 		}
+		if n != l.count || prev != l.tail {
+			return fmt.Errorf("list count %d, walked %d", l.count, n)
+		}
+		for p, c := range l.cursor {
+			if c != nil && c.list != l {
+				return fmt.Errorf("cursor %d points off its list", p)
+			}
+		}
+		listed += n
 	}
-	if dirtyCount != m.dirty {
-		return fmt.Errorf("dirty count %d, tracked %d", dirtyCount, m.dirty)
+
+	// Tables: every cached slot is a listed folio that points back at it.
+	// Stale fileStates (dropped by InvalidateFile while a read or write was
+	// in flight) are reached through their listed folios above.
+	for name, fs := range m.files {
+		if fs.name != m.names[name] || fs.name.name != name {
+			return fmt.Errorf("file %s: name not interned", name)
+		}
+		states[fs] = true
 	}
-	if listed != m.inactive.count+m.active.count {
-		return fmt.Errorf("listed %d folios, lists hold %d", listed, m.inactive.count+m.active.count)
+	var tabled int64
+	for fs := range states {
+		var live int64
+		for idx, f := range fs.folios {
+			if f == nil {
+				continue
+			}
+			if f.fs != fs || f.idx != int64(idx) {
+				return fmt.Errorf("folio table corruption for %s[%d]", fs.name.name, idx)
+			}
+			if f.list == nil {
+				return fmt.Errorf("tabled folio %s[%d] not in any list", fs.name.name, idx)
+			}
+			live++
+		}
+		if live != fs.live {
+			return fmt.Errorf("file %s: %d cached folios, live count %d", fs.name.name, live, fs.live)
+		}
+		if live > 0 && !fs.onName {
+			return fmt.Errorf("file %s: cached folios but not registered with its name", fs.name.name)
+		}
+		if fs.name.writers < 0 {
+			return fmt.Errorf("file %s: %d writers", fs.name.name, fs.name.writers)
+		}
+		tabled += live
+	}
+	if listed != tabled {
+		return fmt.Errorf("listed %d folios, tables hold %d", listed, tabled)
+	}
+
+	// Dirty FIFO: exactly the dirty folios, in non-decreasing entry order.
+	var queued int64
+	var prev *folio
+	for f := m.dirtyQ.head; f != nil; f = f.dnext {
+		if queued++; queued > m.dirty {
+			return fmt.Errorf("dirty FIFO longer than dirty count %d", m.dirty)
+		}
+		if f.dprev != prev {
+			return fmt.Errorf("dirty FIFO link corruption at %s[%d]", f.fs.name.name, f.idx)
+		}
+		if !f.dirty || f.list == nil || f.fs.at(f.idx) != f {
+			return fmt.Errorf("dirty FIFO holds clean or untabled folio %s[%d]", f.fs.name.name, f.idx)
+		}
+		if prev != nil && f.entry < prev.entry {
+			return fmt.Errorf("dirty FIFO entry %g after %g", f.entry, prev.entry)
+		}
+		prev = f
+	}
+	if queued != m.dirty || prev != m.dirtyQ.tail {
+		return fmt.Errorf("dirty FIFO holds %d, dirty count %d", queued, m.dirty)
+	}
+	if dirtyListed != m.dirty {
+		return fmt.Errorf("dirty count %d, tracked %d", dirtyListed, m.dirty)
 	}
 	if m.free() < 0 {
 		return fmt.Errorf("negative free memory %d", m.free())

@@ -153,7 +153,7 @@ func TestAppendContinuesAfterEviction(t *testing.T) {
 	m.WriteFile(c, "f", 100)
 	// Clean and evict every folio of f (reclaim, not deletion).
 	c.now += 100
-	for m.oldestDirty() != nil {
+	for m.dirtyQ.head != nil {
 		m.writebackBatch(c)
 	}
 	if !m.scanInactive(10000, false) {
@@ -241,7 +241,7 @@ func TestFlusherBatchGroupsPerFile(t *testing.T) {
 	m.WriteFile(c, "b", 100)
 	// Force full writeback via the sync fallback.
 	c.now += 100
-	for m.oldestDirty() != nil {
+	for m.dirtyQ.head != nil {
 		m.writebackBatch(c)
 	}
 	if c.writesByFile["a"] != 100 || c.writesByFile["b"] != 100 {
