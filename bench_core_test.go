@@ -98,6 +98,43 @@ func BenchmarkCoreFlushExpired(b *testing.B) {
 	}
 }
 
+// BenchmarkCoreFlushExpiredPromoted measures the periodic flusher when the
+// expired dirty blocks were read back into the active list and the inactive
+// list is full of unexpired dirty blocks — the shape of a pipeline that
+// re-reads the file it just wrote while the next task writes. A list-order
+// query that walks the inactive dirty segment first re-walks all of it for
+// every expired block (O(n·k)); the marked-expired counts skip it.
+func BenchmarkCoreFlushExpiredPromoted(b *testing.B) {
+	c := &benchCaller{}
+	b.ReportAllocs()
+	fresh := coreBenchFiles * coreBenchPerFile
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		m := newBenchManager(b)
+		for j := 0; j < coreBenchDirtyCnt; j++ {
+			c.now = float64(j) * 1e-3
+			if d := m.WriteToCache(c, fmt.Sprintf("d%d", j%16), coreBenchBlock); d != 0 {
+				b.Fatalf("WriteToCache deficit %d", d)
+			}
+		}
+		for j := 0; j < fresh; j++ {
+			c.now = 2 + float64(j)*1e-5
+			if d := m.WriteToCache(c, fmt.Sprintf("f%d", j%coreBenchFiles), coreBenchBlock); d != 0 {
+				b.Fatalf("WriteToCache deficit %d", d)
+			}
+		}
+		c.now = 4
+		for j := 0; j < 16; j++ {
+			m.CacheRead(c, fmt.Sprintf("d%d", j), m.Cached(fmt.Sprintf("d%d", j)))
+		}
+		c.now = 1 + m.Config().DirtyExpire // the read-back blocks expired, the fresh ones not
+		b.StartTimer()
+		if got := m.FlushExpired(c); got != int64(coreBenchDirtyCnt)*coreBenchBlock {
+			b.Fatalf("flushed %d", got)
+		}
+	}
+}
+
 // BenchmarkCoreFragmentedRead measures CacheRead of one maximally fragmented
 // file out of 1000: the pre-index scan walked all 100k blocks to find the
 // file's 100; the per-file chain touches only those.

@@ -23,6 +23,13 @@ type Block struct {
 	LastAccess float64 // governs LRU ordering
 	Dirty      bool
 
+	// expired marks a dirty block inside its domain's marked-expired prefix
+	// (wbDomain.mark): a list-order expiry query found it older than
+	// DirtyExpire. Only the Manager sets or clears it (setExpired), and each
+	// dirty segment counts its marked blocks, so the periodic flusher skips
+	// segments that hold none. It sits in Dirty's padding word.
+	expired bool
+
 	// dom is the writeback domain (backing device) the block's file maps
 	// to; 0 — the default domain — unless the Manager has per-device
 	// writeback domains configured. Every block of one file carries the

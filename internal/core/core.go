@@ -57,14 +57,18 @@
 // indexed: each List threads its dirty blocks into an intrusive dirty
 // sublist and each file's blocks into an intrusive per-file chain (both in
 // list order, with incrementally maintained byte totals), and the Manager
-// threads all dirty blocks into an Entry-ordered expiry queue. With n total
-// blocks in the cache, d dirty blocks, f blocks of the file being operated
-// on, and w files currently open for writing, the dominant operations cost
-// (before indexing → after):
+// threads all dirty blocks into an Entry-ordered expiry queue whose
+// already-expired prefix is marked, with a marked-block count per dirty
+// sublist. With n total blocks in the cache, d dirty blocks, f blocks of
+// the file being operated on, and w files currently open for writing, the
+// dominant operations cost (before indexing → after):
 //
 //	Flush (per flushed block)      O(n) full-list rescan  → O(1) dirty-front peek
 //	FlushExpired, idle wake-up     O(n)                   → O(1) expiry-queue head check
-//	FlushExpired (per flushed)     O(n)                   → O(d) dirty-sublist walk, worst case
+//	FlushExpired (per flushed)     O(n)                   → amortized O(1) prefix marking +
+//	                                                        O(lists) sublist skips + walk to
+//	                                                        the first marked block (O(d) worst
+//	                                                        case; 1 on the measured workloads)
 //	CacheRead                      O(n) two-list walk     → O(f) per-file chain walk
 //	InvalidateFile                 O(n) two-list walk     → O(f) per-file chain walk
 //	Evictable                      O(n) inactive walk     → O(1), or O(w) with the heuristic
@@ -99,9 +103,14 @@
 //	WritebackPolicy.NextDirty      list-order O(k) front peek; oldest-first
 //	                               O(1) expiry-queue head; file-rr O(1) ring
 //	                               cursor; proportional O(g) ring scan
-//	WritebackPolicy.NextExpired    O(1) expiry-queue head check for every
-//	                               policy; list-order then walks only the
-//	                               dirty sublists, worst case O(d)
+//	WritebackPolicy.NextExpired    O(1) idle check for every policy;
+//	                               list-order extends its domain's
+//	                               marked-expired prefix (amortized O(1)
+//	                               per dirty block), skips the dirty
+//	                               segments with no marked block and walks
+//	                               the first one with some up to its first
+//	                               marked block: O(k) plus that walk, worst
+//	                               case O(d), never past an answer
 //	Manager.FlushBackground        O(1) when disabled or under threshold,
 //	                               else the Flush costs above per block
 //
@@ -119,7 +128,11 @@
 //	Manager.Flush (cross-domain)   O(m) oldest-candidate scan per block;
 //	                               one domain degenerates to a direct peek
 //	Manager.FlushExpiredDomain     O(1) idle check via the domain policy's
-//	                               expiry view, O(d_dom) worst-case walk
+//	                               expiry view; per flushed block the
+//	                               domain's NextExpired over its own
+//	                               segments and marks (O(k) plus the walk
+//	                               to the first marked block, O(d_dom)
+//	                               worst case)
 //	writer wakeup (WriteToCache)   O(1) threshold compare + signal hook
 //
 // The snapshot/restore seam (Manager.SnapshotState / RestoreState /

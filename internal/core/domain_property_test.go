@@ -48,6 +48,20 @@ func oracleDomainDirty(m *Manager, dom int) int64 {
 	return n
 }
 
+// oracleDomainNextExpired is the list-order expiry selection for one
+// domain by brute force: the first dirty block of the domain older than
+// DirtyExpire at now, lists in scan order, each list walked from its front.
+func oracleDomainNextExpired(m *Manager, dom int, now float64) *Block {
+	for _, l := range m.pol.Lists() {
+		for b := l.Front(); b != nil; b = b.next {
+			if b.Dirty && b.dom == dom && now-b.Entry >= m.cfg.DirtyExpire {
+				return b
+			}
+		}
+	}
+	return nil
+}
+
 // TestPropertyMultiDomainIndexedStructures drives randomized operation
 // sequences through a three-domain manager — once per (replacement policy ×
 // writeback policy) registry cell — and after every operation cross-checks
@@ -58,9 +72,16 @@ func oracleDomainDirty(m *Manager, dom int) int64 {
 //   - DomainDirty against a brute-force rescan per domain, and the domain
 //     sum against the global Dirty counter;
 //   - each domain's NextDirty/NextExpired selections stay inside their
-//     domain, dirty, and (for expiry) past the DirtyExpire age;
+//     domain, dirty, and (for expiry) past the DirtyExpire age; under
+//     list-order, NextExpired equals oracleDomainNextExpired exactly, also
+//     for an occasional query at an earlier time than the last one;
 //   - FlushDomain drains only its own domain: the other domains' dirty
 //     bytes are unchanged.
+//
+// The operations include ShiftTimes rebases by positive and negative
+// deltas (the clock moves with them) and snapshot/restore round-trips that
+// continue on the restored manager, so the list-order expiry marks are
+// checked across both.
 func TestPropertyMultiDomainIndexedStructures(t *testing.T) {
 	for _, policy := range PolicyNames() {
 		for _, wb := range WritebackPolicyNames() {
@@ -94,7 +115,7 @@ func testMultiDomainIndexedStructures(t *testing.T, policy, wb string) {
 			file := files[rng.Intn(len(files))]
 			amt := int64(1 + rng.Intn(4000))
 			dom := rng.Intn(m.DomainCount())
-			switch rng.Intn(9) {
+			switch rng.Intn(11) {
 			case 0:
 				if free := m.Free(); free > 0 {
 					if amt > free {
@@ -137,11 +158,40 @@ func testMultiDomainIndexedStructures(t *testing.T, policy, wb string) {
 				m.InvalidateFile(file)
 			case 8:
 				m.DropCaches()
+			case 9: // warm-start rebase; the clock moves with the blocks
+				delta := (rng.Float64() - 0.5) * 80
+				m.ShiftTimes(delta)
+				c.now += delta
+			case 10:
+				st := m.SnapshotState()
+				raw, err := json.Marshal(st)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var decoded ManagerState
+				if err := json.Unmarshal(raw, &decoded); err != nil {
+					t.Fatal(err)
+				}
+				restored, err := NewManager(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				configureTestDomains(t, restored)
+				if err := restored.RestoreState(&decoded); err != nil {
+					t.Logf("seed %d op %d: restore: %v", seed, i, err)
+					return false
+				}
+				if !reflect.DeepEqual(st, restored.SnapshotState()) {
+					t.Logf("seed %d op %d: restored manager re-snapshots differently", seed, i)
+					return false
+				}
+				m = restored
 			}
 			if err := m.CheckInvariants(); err != nil {
 				t.Logf("seed %d op %d: %v", seed, i, err)
 				return false
 			}
+			listOrder := m.WritebackPolicy().Name() == DefaultWritebackPolicyName
 			var domSum int64
 			for d := 0; d < m.DomainCount(); d++ {
 				got, want := m.DomainDirty(d), oracleDomainDirty(m, d)
@@ -159,9 +209,24 @@ func testMultiDomainIndexedStructures(t *testing.T, policy, wb string) {
 					t.Logf("seed %d op %d: domain %d dirty %d but NextDirty nil", seed, i, d, got)
 					return false
 				}
-				if ne := m.DomainWritebackPolicy(d).NextExpired(m, c.now); ne != nil {
-					if !ne.Dirty || ne.dom != d || c.now-ne.Entry < m.cfg.DirtyExpire {
+				queries := []float64{c.now}
+				if rng.Intn(6) == 0 {
+					queries = append([]float64{c.now - rng.Float64()*40}, queries...)
+				}
+				for _, now := range queries {
+					ne := m.DomainWritebackPolicy(d).NextExpired(m, now)
+					if listOrder {
+						if want := oracleDomainNextExpired(m, d, now); ne != want {
+							t.Logf("seed %d op %d: domain %d NextExpired(%v) = %v, oracle %v",
+								seed, i, d, now, ne, want)
+							return false
+						}
+					} else if ne != nil && (!ne.Dirty || ne.dom != d || now-ne.Entry < m.cfg.DirtyExpire) {
 						t.Logf("seed %d op %d: domain %d NextExpired %+v invalid", seed, i, d, ne)
+						return false
+					}
+					if err := m.CheckInvariants(); err != nil {
+						t.Logf("seed %d op %d: after NextExpired(%v): %v", seed, i, now, err)
 						return false
 					}
 				}

@@ -33,10 +33,13 @@ type List struct {
 }
 
 // dirtySeg is one writeback domain's dirty sublist within the list: chain
-// endpoints (in list order) and the domain's dirty byte total.
+// endpoints (in list order), the domain's dirty byte total, and how many of
+// its blocks are marked expired (Block.expired) — zero lets the list-order
+// expiry query skip the segment without walking it.
 type dirtySeg struct {
 	head, tail *Block
 	bytes      int64
+	expired    int
 }
 
 // fileChain indexes one file's blocks within a list: the chain endpoints (in
@@ -82,6 +85,15 @@ func (l *List) FrontDirtyDomain(dom int) *Block {
 		return l.dsegs[dom].head
 	}
 	return nil
+}
+
+// expiredIn returns how many of one domain's dirty blocks in the list are
+// marked expired.
+func (l *List) expiredIn(dom int) int {
+	if dom < len(l.dsegs) {
+		return l.dsegs[dom].expired
+	}
+	return 0
 }
 
 // DomainDirtyBytes returns the dirty bytes of one writeback domain held by
@@ -435,7 +447,11 @@ func (l *List) account(b *Block, sign int64) {
 	fc.bytes += sign * b.Size
 	if b.Dirty {
 		l.dirty += sign * b.Size
-		l.seg(b.dom).bytes += sign * b.Size
+		s := l.seg(b.dom)
+		s.bytes += sign * b.Size
+		if b.expired {
+			s.expired += int(sign) // a marked block moving between lists
+		}
 		fc.dirty += sign * b.Size
 	}
 	if fc.head == nil && fc.bytes == 0 {

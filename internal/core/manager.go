@@ -157,6 +157,15 @@ type wbDomain struct {
 
 	eqHead, eqTail *Block // expiry queue: the domain's dirty blocks, Entry-ordered
 
+	// mark is the last block of the marked-expired prefix: the expiry-queue
+	// blocks from eqHead through mark carry Block.expired (nil: none do).
+	// markExpired extends it at query time; markNow is the time of the
+	// last such query. Every marked block was older than DirtyExpire at
+	// markNow, so — expiry being monotone in both time and queue position —
+	// after markExpired(now) the marked set is exactly the expired set.
+	mark    *Block
+	markNow float64
+
 	// share is the domain's fraction of the global thresholds — its write
 	// bandwidth over the summed write bandwidth of all domained devices
 	// (the deterministic stand-in for Linux's per-bdi writeout fraction).
@@ -558,6 +567,12 @@ func (m *Manager) enqueueExpiryAfter(b, pos *Block) {
 	}
 	if b.enext != nil {
 		b.enext.eprev = b
+		if b.enext.expired {
+			// Inside the marked prefix (a split half next to its marked
+			// sibling): b's Entry is no later than its marked successor's,
+			// so b is expired too.
+			setExpired(b, true)
+		}
 	} else {
 		d.eqTail = b
 	}
@@ -597,9 +612,15 @@ func (m *Manager) fileDirtyBytes(file string) int64 {
 }
 
 // dequeueExpiry unlinks b from its domain's expiry queue (block cleaned or
-// dropped).
+// dropped), unmarking it first when it is in the marked-expired prefix.
 func (m *Manager) dequeueExpiry(b *Block) {
 	d := m.domains[b.dom]
+	if b.expired {
+		if d.mark == b {
+			d.mark = b.eprev
+		}
+		setExpired(b, false)
+	}
 	if b.eprev != nil {
 		b.eprev.enext = b.enext
 	} else {
@@ -611,6 +632,51 @@ func (m *Manager) dequeueExpiry(b *Block) {
 		d.eqTail = b.eprev
 	}
 	b.eprev, b.enext = nil, nil
+}
+
+// setExpired flips b's expired mark and its dirty segment's marked count.
+// b is in a list: every dirty block is linked before it is queued, and
+// unqueued before it is unlinked.
+func setExpired(b *Block, on bool) {
+	b.expired = on
+	if on {
+		b.owner.seg(b.dom).expired++
+	} else {
+		b.owner.seg(b.dom).expired--
+	}
+}
+
+// markExpired extends domain dom's marked-expired prefix over every
+// expiry-queue block older than DirtyExpire at time now and reports whether
+// any block is marked. The queue is Entry-ordered, so the prefix only ever
+// grows from its end: each dirty block is marked at most once, and a query
+// costs O(1) plus the blocks it newly marks. A query earlier than the
+// previous one first clears the marks (the contract allows any now). The
+// marks are derived state: they change no answer, only how fast the
+// list-order policy finds it.
+func (m *Manager) markExpired(dom int, now float64) bool {
+	d := m.domains[dom]
+	if now < d.markNow {
+		d.clearMarks()
+	}
+	d.markNow = now
+	b := d.eqHead
+	if d.mark != nil {
+		b = d.mark.enext
+	}
+	for ; b != nil && now-b.Entry >= m.cfg.DirtyExpire; b = b.enext {
+		setExpired(b, true)
+		d.mark = b
+	}
+	return d.mark != nil
+}
+
+// clearMarks empties the domain's marked-expired prefix. O(marked).
+func (d *wbDomain) clearMarks() {
+	for b := d.mark; b != nil; b = b.eprev {
+		setExpired(b, false)
+	}
+	d.mark = nil
 }
 
 // UseAnon grows anonymous memory by n bytes. If that overcommits RAM, the
@@ -1090,9 +1156,11 @@ func (m *Manager) CachedFiles() []string {
 
 // CheckInvariants verifies internal consistency — the classic accounting
 // invariants plus the index structures this package maintains incrementally:
-// per-list per-domain dirty sublists (order, membership, byte totals),
-// per-file chains (order, membership, byte totals), and the per-domain
-// expiry queues (membership and Entry order) — plus the domain assignment
+// per-list per-domain dirty sublists (order, membership, byte totals,
+// marked-expired counts), per-file chains (order, membership, byte totals),
+// and the per-domain expiry queues (membership, Entry order, and the
+// marked-expired prefix: exactly head through the domain's mark, each
+// block expired at the last query time) — plus the domain assignment
 // itself (every block of one file in one domain, domain indexes in range) —
 // and then the policies' own structural invariants (Policy.CheckInvariants:
 // list ordering for the access-ordered policies, bucket assignment for LFU;
@@ -1129,6 +1197,9 @@ func (m *Manager) CheckInvariants() error {
 				return fmt.Errorf("file %s spans domains %d and %d", b.File, prev, b.dom)
 			}
 			fileDom[b.File] = b.dom
+			if b.expired && !b.Dirty {
+				return fmt.Errorf("clean block %v marked expired", b)
+			}
 			bytes += b.Size
 			if b.Dirty {
 				dirty += b.Size
@@ -1154,10 +1225,14 @@ func (m *Manager) CheckInvariants() error {
 		for dom := 0; dom < len(m.domains); dom++ {
 			seq := domSeq[dom]
 			d := l.FrontDirtyDomain(dom)
+			marked := 0
 			for i, want := range seq {
 				if d != want {
 					return fmt.Errorf("list %s domain %d dirty sublist diverges at %d: %v != %v",
 						l.name, dom, i, d, want)
+				}
+				if d.expired {
+					marked++
 				}
 				if d.dnext != nil && d.dnext.dprev != d {
 					return fmt.Errorf("list %s domain %d dirty sublist back-link broken at %v", l.name, dom, d)
@@ -1170,6 +1245,10 @@ func (m *Manager) CheckInvariants() error {
 			if l.DomainDirtyBytes(dom) != domBytes[dom] {
 				return fmt.Errorf("list %s domain %d dirty bytes %d, walk found %d",
 					l.name, dom, l.DomainDirtyBytes(dom), domBytes[dom])
+			}
+			if l.expiredIn(dom) != marked {
+				return fmt.Errorf("list %s domain %d counts %d expired blocks, walk found %d",
+					l.name, dom, l.expiredIn(dom), marked)
 			}
 			if dom < len(l.dsegs) {
 				s := &l.dsegs[dom]
@@ -1214,11 +1293,24 @@ func (m *Manager) CheckInvariants() error {
 		}
 	}
 	// Per-domain expiry queues: exactly each domain's dirty blocks,
-	// Entry-ordered.
+	// Entry-ordered, with the marked-expired prefix ending at the domain's
+	// mark and holding only blocks expired at the last query time.
 	for dom, d := range m.domains {
 		var eqN int
 		lastEntry := math.Inf(-1) // timestamps may be negative after a rebase
+		inPrefix := d.mark != nil
 		for b := d.eqHead; b != nil; b = b.enext {
+			if b.expired != inPrefix {
+				return fmt.Errorf("domain %d expiry queue: block %v marked=%v, prefix ends at %v",
+					dom, b, b.expired, d.mark)
+			}
+			if b.expired && d.markNow-b.Entry < m.cfg.DirtyExpire {
+				return fmt.Errorf("domain %d block %v marked expired but not expired at %v",
+					dom, b, d.markNow)
+			}
+			if b == d.mark {
+				inPrefix = false
+			}
 			if !b.Dirty || !dirtySet[b] {
 				return fmt.Errorf("domain %d expiry queue holds non-dirty or foreign block %v", dom, b)
 			}
@@ -1240,6 +1332,9 @@ func (m *Manager) CheckInvariants() error {
 		}
 		if (d.eqHead == nil) != (d.eqTail == nil) {
 			return fmt.Errorf("domain %d expiry queue endpoints inconsistent", dom)
+		}
+		if inPrefix {
+			return fmt.Errorf("domain %d mark %v is not in its expiry queue", dom, d.mark)
 		}
 	}
 	for f, v := range perFile {

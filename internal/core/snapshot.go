@@ -335,10 +335,15 @@ func (m *Manager) RestoreState(st *ManagerState) error {
 // preserved exactly. Negative deltas are legal (warm-start restores rebase a
 // snapshot to the new run's t=0; invariant checks order against -Inf, not
 // zero). Policies with time-derived per-block state beyond the timestamps
-// (TimeShiftablePolicy: the LFU decay epochs) are shifted too. O(blocks).
+// (TimeShiftablePolicy: the LFU decay epochs) are shifted too. The
+// marked-expired prefixes are cleared: they were computed against the old
+// clock. O(blocks).
 func (m *Manager) ShiftTimes(delta float64) {
 	if delta == 0 {
 		return
+	}
+	for _, d := range m.domains {
+		d.clearMarks()
 	}
 	for _, l := range m.pol.Lists() {
 		for b := l.Front(); b != nil; b = b.next {

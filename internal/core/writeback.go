@@ -27,7 +27,10 @@ import (
 //     policy state (rotation happens in NoteFlushed) and must return nil
 //     exactly when no (expired) dirty block exists. The common idle case of
 //     NextExpired must stay O(1) — the manager-wide expiry queue's head is
-//     the globally oldest dirty block, so ExpiredHead answers it.
+//     the globally oldest dirty block, so ExpiredHead answers it. A query
+//     may advance derived state the Manager keeps for it (list-order's
+//     marked-expired prefix, Manager.markExpired), but that never changes
+//     an answer: the same block comes back whatever queries came before.
 //   - Selection is deterministic: given the same event sequence, the same
 //     blocks come back in the same order (simulation reproducibility).
 //   - Mutations keep Manager.CheckInvariants happy; policy-specific

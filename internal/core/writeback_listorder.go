@@ -9,13 +9,20 @@ func init() {
 // listOrderWriteback is the paper's implicit writeback order, preserved
 // bit-identically: the front dirty block of the replacement policy's lists,
 // lists in scan order (for the default LRU: least recently used dirty block,
-// inactive list before active list — §III.A.3). It keeps no structure of its
+// inactive list before active list — §III.A.3). It keeps no order of its
 // own; the per-list, per-domain dirty segments the Manager maintains for
 // every policy already are this order, so selection is an O(lists) front
-// peek. On a per-device manager each domain gets its own instance, bound via
+// peek. Expiry selection uses the Manager's marked-expired prefix
+// (markExpired): a segment whose marked count is zero holds no expired
+// block and is skipped unwalked, so a flusher pass never walks a list's
+// unexpired dirty blocks to reach the next list's expired ones. On a
+// per-device manager each domain gets its own instance, bound via
 // BindDomain, selecting only from that domain's segments.
 type listOrderWriteback struct {
 	dom int
+	// visited counts dirty-segment blocks NextExpired stepped over or
+	// returned — the scan-work probe of the expiry tests.
+	visited int64
 }
 
 func (*listOrderWriteback) Name() string                       { return DefaultWritebackPolicyName }
@@ -36,15 +43,23 @@ func (w *listOrderWriteback) NextDirty(m *Manager) *Block {
 }
 
 // NextExpired returns the domain's first expired dirty block in list scan
-// order. The domain expiry queue's head answers the common "nothing expired"
-// case in O(1); otherwise only the domain's dirty segments are walked.
+// order. markExpired first brings the domain's marked-expired prefix up to
+// now — O(1) when nothing is expired, amortized O(1) per dirty block
+// otherwise — and makes the marked blocks exactly the expired ones; the
+// query then skips every segment with no marked block and walks the first
+// one that has some only up to its first marked block: O(lists) plus that
+// walk.
 func (w *listOrderWriteback) NextExpired(m *Manager, now float64) *Block {
-	if m.ExpiredHeadDomain(w.dom, now) == nil {
+	if !m.markExpired(w.dom, now) {
 		return nil
 	}
 	for _, l := range m.pol.Lists() {
+		if l.expiredIn(w.dom) == 0 {
+			continue
+		}
 		for b := l.FrontDirtyDomain(w.dom); b != nil; b = b.dnext {
-			if now-b.Entry >= m.cfg.DirtyExpire {
+			w.visited++
+			if b.expired {
 				return b
 			}
 		}
