@@ -3,9 +3,9 @@
 // CSV data under -out.
 //
 // Every experiment enumerates its independent simulation cells into one
-// grid, fanned out over -workers in-process workers (or -worker-cmd
-// subprocesses) and merged deterministically: the report is byte-identical
-// for every worker count. See README.md for the fan-out protocol.
+// grid, fanned out over -workers in-process workers (or drained through a
+// durable -queue-dir queue) and merged deterministically: the report is
+// byte-identical for every worker count. See README.md for the grid.
 //
 // Usage:
 //
@@ -19,7 +19,6 @@
 //	experiments -writebacks          # writeback-policy ablation (list-order/oldest-first/file-rr/proportional)
 //	experiments -devices             # per-device writeback ablation (mixed-speed host vs CAWL model)
 //	experiments -ffwd                # fast-forward speedup/error ablation (exact vs phase-skipped)
-//	experiments -worker              # serve cells over stdin/stdout (spawned via -worker-cmd)
 //
 // With -queue-dir the grid runs through a durable, file-backed queue that
 // survives coordinator and worker crashes and that several hosts sharing the
@@ -81,10 +80,8 @@ func Main(args []string, stdout io.Writer) int {
 		outDir    = fs.String("out", "results", "output directory for CSV files")
 
 		workers   = fs.Int("workers", 0, "grid worker count (0: GOMAXPROCS)")
-		worker    = fs.Bool("worker", false, "serve as a grid worker: read JSON cell specs on stdin, stream JSON results on stdout")
-		workerCmd = fs.String("worker-cmd", "", "fan cells out to subprocesses: argv spawned once per worker slot (e.g. \"./experiments -worker\" or \"ssh host experiments -worker\")")
-		cellTO    = fs.Duration("cell-timeout", 0, "per-cell attempt timeout (0: none)")
-		cellRetry = fs.Int("cell-retries", 0, "extra attempts after a failed cell (error, panic, timeout, dead worker)")
+		cellTO    = fs.Duration("cell-timeout", 0, "per-cell attempt timeout (0: none); a timed-out attempt is abandoned")
+		cellRetry = fs.Int("cell-retries", 0, "extra attempts after a failed cell (error, panic, timeout)")
 
 		queueDir     = fs.String("queue-dir", "", "durable work queue directory: enumerate cells into it (or resume it), drain with -workers local workers plus any attached fleets, and merge the result store")
 		queueWorker  = fs.Bool("queue-worker", false, "attach -workers drain loops to the -queue-dir queue and exit when it is drained (no report; run on any host sharing the directory)")
@@ -97,13 +94,9 @@ func Main(args []string, stdout io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *worker {
-		// Stdout carries nothing but protocol frames in worker mode.
-		if err := grid.ServeWorker(os.Stdin, stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			return 1
-		}
-		return 0
+	if *reps < 1 {
+		fmt.Fprintf(os.Stderr, "experiments: -reps must be at least 1, got %d\n", *reps)
+		return 2
 	}
 	if (*queueWorker || *queueStatus || *queueEnqueue) && *queueDir == "" {
 		fmt.Fprintln(os.Stderr, "experiments: -queue-worker, -queue-status and -queue-enqueue require -queue-dir")
@@ -355,9 +348,6 @@ func Main(args []string, stdout io.Writer) int {
 	} else {
 		specs := exp.SpecsOf(sections)
 		opts := grid.Options{Workers: *workers, Timeout: *cellTO, Retries: *cellRetry}
-		if *workerCmd != "" {
-			opts.WorkerCmd = strings.Fields(*workerCmd)
-		}
 		if *timings {
 			opts.Progress = func(done, total int, r grid.Result) {
 				status := "ok"

@@ -7,13 +7,14 @@ import (
 	"testing"
 )
 
-// TestMain doubles as the worker-subprocess helper: with
-// EXPERIMENTS_WORKER_TEST set the test binary behaves as `experiments
-// -worker`, so the -worker-cmd fan-out path is exercised end to end against
-// a real subprocess speaking the real protocol.
+// queueWorkerEnv names a queue directory; when it is set the test binary
+// behaves as `experiments -queue-worker` on that queue, so a queue drain in a
+// separate process is exercised end to end.
+const queueWorkerEnv = "EXPERIMENTS_QUEUE_WORKER_DIR"
+
 func TestMain(m *testing.M) {
-	if os.Getenv("EXPERIMENTS_WORKER_TEST") == "1" {
-		os.Exit(Main([]string{"-worker"}, os.Stdout))
+	if dir := os.Getenv(queueWorkerEnv); dir != "" {
+		os.Exit(Main([]string{"-queue-worker", "-queue-dir", dir, "-workers", "2"}, os.Stdout))
 	}
 	os.Exit(m.Run())
 }
@@ -81,16 +82,6 @@ func TestParallelOutputByteIdentical(t *testing.T) {
 	stdout1, csv1 := runGrid(t, "-workers", "1")
 	stdout8, csv8 := runGrid(t, "-workers", "8")
 	expectIdentical(t, "workers 1 vs 8", stdout1, stdout8, csv1, csv8)
-}
-
-// TestSubprocessFanoutByteIdentical runs the same grid over -worker-cmd
-// subprocesses (the test binary in worker mode) and demands the same bytes
-// as the in-process single-worker run.
-func TestSubprocessFanoutByteIdentical(t *testing.T) {
-	stdout1, csv1 := runGrid(t, "-workers", "1")
-	t.Setenv("EXPERIMENTS_WORKER_TEST", "1") // inherited by the spawned workers
-	stdoutSub, csvSub := runGrid(t, "-workers", "3", "-worker-cmd", os.Args[0])
-	expectIdentical(t, "in-process vs subprocess", stdout1, stdoutSub, csv1, csvSub)
 }
 
 // TestFailingCellFailsSectionNotRun injects a failing cell kind (exp1 at a
@@ -162,9 +153,20 @@ func TestExp4Flag(t *testing.T) {
 	}
 }
 
+// TestBadSizeFlag: malformed -sizes and out-of-range -reps are config
+// errors (exit 2) reported before any cell runs.
 func TestBadSizeFlag(t *testing.T) {
-	var b strings.Builder
-	if code := Main([]string{"-exp1", "-sizes", "abc"}, &b); code == 0 {
-		t.Fatal("bad -sizes accepted")
+	for _, args := range [][]string{
+		{"-exp1", "-sizes", "abc"},
+		{"-exp2", "-quick", "-reps", "0"},
+		{"-exp3", "-quick", "-reps", "-1"},
+	} {
+		var b strings.Builder
+		if code := Main(append(args, "-out", t.TempDir()), &b); code != 2 {
+			t.Errorf("%v: exit %d, want 2", args, code)
+		}
+		if b.Len() != 0 {
+			t.Errorf("%v: wrote to stdout: %q", args, b.String())
+		}
 	}
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -76,6 +77,39 @@ func TestQueueResumeByteIdentical(t *testing.T) {
 	if st.Releases == 0 {
 		t.Fatal("the crashed worker's cell was never re-leased — the crash was not simulated")
 	}
+}
+
+// TestQueueWorkerProcessByteIdentical: a `-queue-worker` running in a
+// separate process drains the whole grid, and a coordinator that only merges
+// the result store produces the same bytes as the sequential pool.
+func TestQueueWorkerProcessByteIdentical(t *testing.T) {
+	stdout1, csv1 := runGrid(t, "-workers", "1")
+
+	qdir := filepath.Join(t.TempDir(), "q")
+	var b strings.Builder
+	if code := Main(runGridArgs(t.TempDir(), "-queue-dir", qdir, "-queue-enqueue"), &b); code != 0 {
+		t.Fatalf("enqueue exit %d", code)
+	}
+
+	cmd := exec.Command(os.Args[0])
+	cmd.Env = append(os.Environ(), queueWorkerEnv+"="+qdir)
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("queue worker process: %v\n%s", err, out)
+	}
+	q, err := queue.Open(qdir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := q.Status()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st.Finished() || st.Failed != 0 {
+		t.Fatalf("status after the worker process = %+v, want everything done", st)
+	}
+
+	stdoutQ, csvQ := runGrid(t, "-queue-dir", qdir, "-workers", "2")
+	expectIdentical(t, "worker process vs sequential", stdout1, stdoutQ, csv1, csvQ)
 }
 
 // TestQueueStatusReport drains a queue and checks the consolidated report.

@@ -45,7 +45,7 @@ type ablationVariant struct {
 //   - split vs shared disk channels.
 //
 // Cells reference variants by name, so the list is the lookup table both in
-// the coordinator and in worker subprocesses.
+// the coordinator and in `-queue-worker` processes.
 func ablationVariants() []ablationVariant {
 	symMem, symDisk := platform.SimMemorySpec("node0.mem"), platform.SimLocalDiskSpec("node0.disk")
 	asymMem, asymDisk := platform.RealMemorySpec("node0.mem"), platform.RealLocalDiskSpec("node0.disk")

@@ -4,15 +4,15 @@
 //
 // A cell is a Spec: a registered kind plus JSON-encoded arguments and a grid
 // Coord. Specs are self-describing — any process that imports the package
-// that registered the kind can execute one — which is what lets
-// `experiments -worker` subprocesses (including workers on other hosts fed
-// through ssh pipes) drain the same queue as in-process workers.
+// that registered the kind can execute one — which is what lets the durable
+// queue (internal/queue) store cells on disk and have `experiments
+// -queue-worker` processes on any host sharing the directory drain them.
 //
-// Payloads always round-trip through JSON, in-process included, so a run's
-// bytes cannot depend on which side of a process boundary a cell happened to
-// execute on: Go's float64 encoding is exact under round-trip, and the
-// merger orders payloads by Coord, so stdout reports and CSVs are
-// byte-identical for every worker count and fan-out mode.
+// Payloads always round-trip through JSON, in the pool included, so a run's
+// bytes cannot depend on which process a cell happened to execute in: Go's
+// float64 encoding is exact under round-trip, and the merger orders
+// payloads by Coord, so stdout reports and CSVs are byte-identical for
+// every worker count and for pool and queue runs alike.
 package grid
 
 import (
@@ -88,8 +88,8 @@ type Result struct {
 	Err      string  `json:"err,omitempty"`
 	Attempts int     `json:"attempts,omitempty"`
 	Seconds  float64 `json:"seconds,omitempty"` // execution wall-clock, all attempts
-	// Worker is the pool slot that ran the cell (not part of the protocol;
-	// subprocess workers don't know their slot).
+	// Worker is the pool slot that ran the cell. It is not serialized: the
+	// queue's result store names its workers in the journal instead.
 	Worker int `json:"-"`
 }
 
@@ -112,7 +112,7 @@ var (
 
 // Register adds a cell kind. The run function receives the spec's raw args
 // and returns a JSON-marshalable payload. Registration happens at init time
-// (both the coordinator and `-worker` subprocesses run it by importing the
+// (the coordinator and every `-queue-worker` process run it by importing the
 // registering package); duplicate kinds panic, matching the core registries.
 func Register(kind string, run func(args json.RawMessage) (any, error)) {
 	regMu.Lock()
@@ -144,7 +144,8 @@ func lookup(kind string) (func(json.RawMessage) (any, error), bool) {
 
 // RunSpec executes one cell in the current process with panic isolation: a
 // panicking cell yields a Result carrying the panic value and stack, never
-// an aborted run. Used by both the in-process pool and worker subprocesses.
+// an aborted run. Attempt wraps it in the timeout/retry loop that the pool
+// and the queue's drain loops share.
 func RunSpec(s Spec) Result {
 	res := Result{Coord: s.Coord, Kind: s.Kind}
 	start := time.Now()
