@@ -122,3 +122,58 @@ func BenchmarkDESTimerChurn(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkFluidSharedComponent is the NFS shape: 64 processes whose
+// transfers each use the same two resources (a client link and a server
+// disk), so every start or completion re-solves one component holding
+// nearly every live activity. Collecting that component is the per-event
+// fixed cost the start-order filter keeps linear.
+func BenchmarkFluidSharedComponent(b *testing.B) {
+	const procs, rounds = 64, 50
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		k := des.NewKernel()
+		s := fluid.NewSystem(k)
+		link := s.NewResource("link", 1.25e9)
+		disk := s.NewResource("disk", 5e8)
+		for a := 0; a < procs; a++ {
+			a := a
+			k.Spawn("client", func(p *des.Proc) {
+				for j := 0; j < rounds; j++ {
+					s.Start(2e6+float64(1000*a+7*j), 0,
+						fluid.Use{Res: link, Coef: 1}, fluid.Use{Res: disk, Coef: 1}).Await(p)
+				}
+			})
+		}
+		if err := k.Run(); err != nil {
+			b.Fatal(err)
+		}
+		if s.InFlight() != 0 {
+			b.Fatalf("in-flight = %d, want 0", s.InFlight())
+		}
+	}
+}
+
+// BenchmarkDESHandoff is a two-process ping-pong: every wake-up resumes the
+// other process, so each one costs a token handoff between goroutines.
+func BenchmarkDESHandoff(b *testing.B) {
+	const wakeups = 10000
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		k := des.NewKernel()
+		k.Spawn("ping", func(p *des.Proc) {
+			p.Sleep(1)
+			for j := 1; j < wakeups/2; j++ {
+				p.Sleep(2)
+			}
+		})
+		k.Spawn("pong", func(p *des.Proc) {
+			for j := 0; j < wakeups/2; j++ {
+				p.Sleep(2)
+			}
+		})
+		if err := k.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

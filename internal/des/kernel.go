@@ -2,11 +2,30 @@
 // with cooperative coroutine processes, in the style of SimGrid actors (the
 // substrate the paper's WRENCH implementation runs on).
 //
-// Exactly one goroutine runs at any instant: either the kernel loop or a
-// single simulated process. Processes hand a scheduling token back to the
-// kernel whenever they block (Sleep, Future.Get, Signal.Wait, ...), which
-// makes executions fully deterministic: events fire in (time, sequence)
-// order, and sequence numbers are allocated deterministically.
+// # The token model
+//
+// Exactly one goroutine runs at any instant: the one holding the scheduling
+// token. The event loop runs on whichever goroutine holds it — the RunUntil
+// caller, or the process that just parked (Sleep, Future.Get, Signal.Wait,
+// ...) or terminated. Events fire in (time, sequence) order and sequence
+// numbers are allocated deterministically, so which goroutine runs the loop
+// never shows in a run's results.
+//
+// A callback resumes a process by scheduling a wake-up; the wake-up records
+// the handoff and the loop performs it once the callback returns. Resuming
+// the process whose goroutine runs the loop (a lone Sleep, say) costs no
+// channel operation; resuming any other process costs one send. When the
+// queue drains or the horizon is reached on a process goroutine, the token
+// goes back to the RunUntil caller over one kernel channel.
+//
+// The callback contract: a callback resumes at most one process, and does
+// so as its last action (the wake-ups this package schedules all do).
+//
+// A panic on a process goroutine — in a process body, or in a callback that
+// runs while that process holds the token — is recovered there and
+// re-raised with its original value on the RunUntil caller, so it can be
+// recovered like a panic in a callback run by the caller itself. The
+// kernel is unusable afterwards.
 //
 // # Complexity of the event core
 //
@@ -21,10 +40,14 @@
 //	                            instead of rotting until their deadline)
 //	Timer.Cancel, fired/stale   O(1) no-op (generation check)
 //	event dispatch              O(log n) pop, O(1) for same-time events
+//	process resume              0 channel handoffs (the process running the
+//	                            loop) or 1 (any other process); no allocation
+//	park, spawn, terminate      O(1) — no per-park bookkeeping
 //
 // event structs are recycled through a free list, so steady-state
 // scheduling does not allocate; a generation counter makes Timer handles
-// to recycled events harmlessly stale.
+// to recycled events harmlessly stale. Each process binds its wake-up
+// callback once at Spawn, so waking it does not allocate either.
 package des
 
 import (
@@ -126,16 +149,23 @@ type Kernel struct {
 	fastq    []*event
 	fastHead int
 	free     []*event
-	yield    chan struct{} // processes hand the token back on this channel
-	live     int           // spawned, not yet terminated
-	blocked  int           // parked waiting for a wakeup event
-	parked   map[*Proc]struct{}
-	running  bool
+	horizon  float64 // RunUntil's bound, read by whichever goroutine runs the loop
+	// handoff is the process the running callback resumed; the loop hands it
+	// the token once the callback returns.
+	handoff *Proc
+	// caller is where the RunUntil caller waits while a process goroutine
+	// holds the token. It receives nil when the loop stops there, or the
+	// value of a panic recovered on that goroutine.
+	caller chan any
+	// first and last bound the list of live processes, in spawn order.
+	first, last *Proc
+	handoffs    int // channel handoffs of the token (for work-count tests)
+	running     bool
 }
 
 // NewKernel returns an empty simulation at time zero.
 func NewKernel() *Kernel {
-	return &Kernel{yield: make(chan struct{}), parked: make(map[*Proc]struct{})}
+	return &Kernel{caller: make(chan any)}
 }
 
 // Now returns the current virtual time in seconds.
@@ -218,7 +248,7 @@ func (k *Kernel) Warp(delta float64) {
 // ErrDeadlock is returned by Run when processes remain parked but no event
 // can ever wake them.
 type ErrDeadlock struct {
-	Blocked []string // names of parked processes
+	Blocked []string // names of the parked processes, in spawn order
 }
 
 func (e *ErrDeadlock) Error() string {
@@ -233,13 +263,27 @@ func (k *Kernel) Run() error { return k.RunUntil(-1) }
 
 // RunUntil executes events with time ≤ horizon (horizon < 0 means no bound).
 // Events beyond the horizon remain queued; the clock advances to the horizon
-// if it was reached.
+// if it was reached. A panic raised on a process goroutine during the run is
+// re-raised here with its original value.
 func (k *Kernel) RunUntil(horizon float64) error {
 	if k.running {
 		return fmt.Errorf("des: Run called re-entrantly")
 	}
 	k.running = true
 	defer func() { k.running = false }()
+	k.horizon = horizon
+	k.dispatch(nil)
+	if k.QueueLen() == 0 && k.first != nil {
+		// Drained with live processes: every one of them is parked.
+		return &ErrDeadlock{Blocked: k.liveNames()}
+	}
+	return nil
+}
+
+// next pops the earliest due event, or returns nil once the queue is
+// drained or its earliest event lies beyond the horizon (the clock then
+// advances to the horizon).
+func (k *Kernel) next() *event {
 	for {
 		// Peek the earliest event across the same-time FIFO and the heap.
 		// FIFO entries fire at k.now; a heap event also due at k.now fires
@@ -256,10 +300,10 @@ func (k *Kernel) RunUntil(horizon float64) error {
 			next = k.events[0]
 			fromHeap = true
 		} else {
-			break
+			return nil
 		}
-		if horizon >= 0 && next.t > horizon {
-			k.now = horizon
+		if k.horizon >= 0 && next.t > k.horizon {
+			k.now = k.horizon
 			return nil
 		}
 		if fromHeap {
@@ -277,14 +321,51 @@ func (k *Kernel) RunUntil(horizon float64) error {
 			continue
 		}
 		k.now = next.t
-		fn := next.fn
-		k.release(next)
+		return next
+	}
+}
+
+// dispatch runs the event loop on the goroutine holding the token; self is
+// that goroutine's process, or nil for the RunUntil caller. For the caller
+// it returns when the run stops. For a parked self it returns once an event
+// resumes self: at once if the loop is still on self's goroutine, otherwise
+// when the token comes back over self.resume. For a terminated self it
+// returns as soon as the token has been handed on.
+func (k *Kernel) dispatch(self *Proc) {
+	for {
+		e := k.next()
+		if e == nil {
+			if self == nil {
+				return
+			}
+			k.handoffs++
+			k.caller <- nil
+			break
+		}
+		fn := e.fn
+		k.release(e)
 		fn()
+		p := k.handoff
+		if p == nil {
+			continue
+		}
+		k.handoff = nil
+		if p == self {
+			return
+		}
+		k.handoffs++
+		p.resume <- struct{}{}
+		if self == nil {
+			if r := <-k.caller; r != nil {
+				panic(r)
+			}
+			return
+		}
+		break
 	}
-	if k.blocked > 0 {
-		return &ErrDeadlock{Blocked: k.parkedNames()}
+	if !self.terminated {
+		<-self.resume
 	}
-	return nil
 }
 
 // QueueLen reports the number of queued events (heap plus same-time FIFO),
@@ -292,9 +373,10 @@ func (k *Kernel) RunUntil(horizon float64) error {
 // tests and diagnostics.
 func (k *Kernel) QueueLen() int { return len(k.events) + len(k.fastq) - k.fastHead }
 
-func (k *Kernel) parkedNames() []string {
+// liveNames lists the live processes' names in spawn order.
+func (k *Kernel) liveNames() []string {
 	var names []string
-	for p := range k.parked {
+	for p := k.first; p != nil; p = p.next {
 		names = append(names, p.name)
 	}
 	return names

@@ -3,8 +3,9 @@ package des
 import "fmt"
 
 // Proc is a simulated process: a goroutine that runs cooperatively under the
-// kernel. Only one process (or the kernel loop) executes at a time; every
-// blocking call parks the goroutine and returns the token to the kernel.
+// kernel. Only the goroutine holding the token executes; every blocking call
+// parks the process and runs the event loop on its goroutine until some
+// event resumes it (see the package comment).
 //
 // A Proc must only be used from its own goroutine (the function passed to
 // Spawn). Kernel callbacks must never call parking methods.
@@ -12,8 +13,10 @@ type Proc struct {
 	k          *Kernel
 	name       string
 	resume     chan struct{}
+	wake       func() // bound once at Spawn; schedule it to resume the process
 	terminated bool
 	done       *Future[struct{}]
+	prev, next *Proc // neighbours in the kernel's live list
 }
 
 // Spawn creates a process executing fn, scheduled to start at the current
@@ -21,43 +24,66 @@ type Proc struct {
 // reaches its start event.
 func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{k: k, name: name, resume: make(chan struct{})}
+	p.wake = func() { k.switchTo(p) }
 	p.done = NewFuture[struct{}](k)
-	k.live++
+	p.prev = k.last
+	if k.last != nil {
+		k.last.next = p
+	} else {
+		k.first = p
+	}
+	k.last = p
 	go func() {
 		<-p.resume // wait for the start event to hand us the token
-		defer func() {
-			p.terminated = true
-			k.live--
-			p.done.Set(struct{}{})
-			k.yield <- struct{}{} // final token handoff; goroutine exits
-		}()
+		defer k.exit(p)
 		fn(p)
 	}()
-	k.At(k.now, func() { k.switchTo(p) })
+	k.At(k.now, p.wake)
 	return p
 }
 
-// switchTo hands the execution token to p and blocks the kernel until p
-// parks again or terminates. Must be called from kernel context.
+// exit ends p's goroutine. A panic is forwarded to the RunUntil caller;
+// a normal return (or runtime.Goexit) terminates p, resolves its Done
+// future and runs the loop until the token has been handed on.
+func (k *Kernel) exit(p *Proc) {
+	if r := recover(); r != nil {
+		k.caller <- r
+		return
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			k.caller <- r
+		}
+	}()
+	p.terminated = true
+	if p.prev != nil {
+		p.prev.next = p.next
+	} else {
+		k.first = p.next
+	}
+	if p.next != nil {
+		p.next.prev = p.prev
+	} else {
+		k.last = p.prev
+	}
+	p.done.Set(struct{}{})
+	k.dispatch(p)
+}
+
+// switchTo records that the running callback resumes p; the loop hands p
+// the token once the callback returns. It must be the callback's last
+// action, and a callback resumes at most one process.
 func (k *Kernel) switchTo(p *Proc) {
 	if p.terminated {
 		return
 	}
-	p.resume <- struct{}{}
-	<-k.yield
+	k.handoff = p
 }
 
-// park yields the token back to the kernel and blocks until some event
-// resumes this process. A wakeup must already be registered, otherwise the
-// kernel will report a deadlock when the queue drains.
-func (p *Proc) park() {
-	p.k.blocked++
-	p.k.parked[p] = struct{}{}
-	p.k.yield <- struct{}{}
-	<-p.resume
-	p.k.blocked--
-	delete(p.k.parked, p)
-}
+// park runs the event loop on p's goroutine until some event resumes p. A
+// wakeup must already be registered, otherwise the kernel will report a
+// deadlock when the queue drains.
+func (p *Proc) park() { p.k.dispatch(p) }
 
 // Name returns the process name (used in diagnostics).
 func (p *Proc) Name() string { return p.name }
@@ -74,7 +100,7 @@ func (p *Proc) Sleep(d float64) {
 	if d < 0 {
 		d = 0
 	}
-	p.k.After(d, func() { p.k.switchTo(p) })
+	p.k.After(d, p.wake)
 	p.park()
 }
 
@@ -111,8 +137,7 @@ func (f *Future[T]) Set(v T) {
 	ws := f.waiters
 	f.waiters = nil
 	for _, w := range ws {
-		w := w
-		f.k.At(f.k.now, func() { f.k.switchTo(w) })
+		f.k.At(f.k.now, w.wake)
 	}
 }
 
@@ -189,8 +214,7 @@ func (s *Signal) Broadcast() {
 		w.done = true
 		w.signaled = true
 		w.timer.Cancel()
-		w := w
-		s.k.At(s.k.now, func() { s.k.switchTo(w.p) })
+		s.k.At(s.k.now, w.p.wake)
 	}
 }
 
@@ -226,7 +250,7 @@ func (s *Semaphore) Release() {
 	if len(s.waiters) > 0 {
 		w := s.waiters[0]
 		s.waiters = s.waiters[1:]
-		s.k.At(s.k.now, func() { s.k.switchTo(w) })
+		s.k.At(s.k.now, w.wake)
 		return
 	}
 	s.avail++

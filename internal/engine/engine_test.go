@@ -19,6 +19,14 @@ type testRig struct {
 
 func newRig(t *testing.T, mode Mode) *testRig {
 	t.Helper()
+	r, err := buildRig(mode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+func buildRig(mode Mode) (*testRig, error) {
 	sim := NewSimulation()
 	spec := platform.HostSpec{
 		Name: "h", Cores: 4, FlopRate: 1e9, MemoryCap: 1000,
@@ -27,19 +35,19 @@ func newRig(t *testing.T, mode Mode) *testRig {
 	cfg := core.DefaultConfig(1000)
 	hr, err := sim.AddHost(spec, mode, cfg, 10) // 10-byte chunks
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	part, err := hr.AddDisk(platform.DeviceSpec{Name: "h.disk", ReadBW: 10, WriteBW: 10}, "scratch", 100000)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	if _, err := part.CreateSized("f1", 100); err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	if err := sim.NS.Place("f1", part); err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	return &testRig{sim: sim, hr: hr, part: part}
+	return &testRig{sim: sim, hr: hr, part: part}, nil
 }
 
 func near(a, b, tol float64) bool { return math.Abs(a-b) <= tol }

@@ -25,20 +25,28 @@
 // r resources needing k filling rounds (k ≤ r+1), each activity start or
 // completion costs:
 //
-//	elapsed-work advance + completion sweep   O(A) one pass
-//	component discovery (BFS over lists)      O(m)
+//	elapsed-work advance + completion sweep   O(A) one pass; the completion
+//	                                          epsilon is cached at Start
+//	component discovery (BFS over lists)      O(m) marking
+//	component collection in start order       O(A) filter of the live list
+//	                                          [was an O(m log m) sort]
+//	resource ordering                         O(r log r) sort by id
 //	progressive filling                       O(k·(r+m))  [was O(k·(R+A))
 //	                                          over ALL resources/activities]
 //	completion-timer retarget                 O(A) min scan + O(log E) cancel
 //	Utilization                               O(1) — per-resource allocated
 //	                                          counters refreshed at solve
 //
-// The two O(A) passes are deliberate: remaining-work decrements must be
+// The O(A) passes are deliberate: remaining-work decrements must be
 // applied at every event instant, in activity start order, so that float
 // accumulation — and with it every completion time and event ordering —
-// stays bit-identical to the full-solve implementation. solveOracle (the
-// retained full progressive filling) is the test oracle: CheckInvariants
-// cross-checks the incremental solver's rates against it bit for bit.
+// stays bit-identical to the full-solve implementation. The component
+// filter costs no more than those passes (it stops at the component's last
+// member) and, unlike a sort, stays linear when one shared disk or link
+// puts most live activities in one component (m close to A). solveOracle
+// (the retained full progressive filling) is the test oracle:
+// CheckInvariants cross-checks the incremental solver's rates against it
+// bit for bit.
 package fluid
 
 import (
@@ -93,18 +101,20 @@ type Use struct {
 
 // Activity is a unit of fluid work (a transfer, a flush, a compute burst).
 type Activity struct {
-	sys       *System
 	uses      []Use
 	posIn     []int // posIn[i] is this activity's index in uses[i].Res.acts
 	seq       uint64
 	work0     float64
 	remaining float64
-	rate      float64
-	bound     float64 // per-activity rate cap (≤0 means unbounded)
-	done      *des.Future[struct{}]
-	start     float64
-	frozen    bool   // scratch flag during progressive filling
-	mark      uint64 // component-discovery epoch stamp
+	// eps is the absolute remaining-work threshold under which the activity
+	// counts as finished (guards float rounding), fixed at Start.
+	eps    float64
+	rate   float64
+	bound  float64 // per-activity rate cap (≤0 means unbounded)
+	done   *des.Future[struct{}]
+	start  float64
+	frozen bool   // scratch flag during progressive filling
+	mark   uint64 // component-discovery epoch stamp
 }
 
 // Await parks p until the activity completes.
@@ -171,10 +181,10 @@ func (s *System) NewResource(name string, capacity float64) *Resource {
 // events). An activity must use at least one resource unless bound > 0.
 func (s *System) Start(work float64, bound float64, uses ...Use) *Activity {
 	a := &Activity{
-		sys:       s,
 		uses:      uses,
 		work0:     work,
 		remaining: work,
+		eps:       math.Max(1e-6, 1e-9*work),
 		bound:     bound,
 		done:      des.NewFuture[struct{}](s.k),
 		start:     s.k.Now(),
@@ -192,7 +202,7 @@ func (s *System) Start(work float64, bound float64, uses ...Use) *Activity {
 		return a
 	}
 	seeds := s.advanceAndComplete()
-	if a.remaining <= a.completionEps() {
+	if a.remaining <= a.eps {
 		// Sub-epsilon work: completes within the same recompute, after any
 		// activities the advance pass just finished, exactly like the
 		// full-solve completion sweep did.
@@ -241,12 +251,6 @@ func (s *System) SetCapacity(r *Resource, capacity float64) {
 	s.scheduleNext()
 }
 
-// completionEps returns the absolute remaining-work threshold under which an
-// activity is considered finished (guards float rounding).
-func (a *Activity) completionEps() float64 {
-	return math.Max(1e-6, 1e-9*a.work0)
-}
-
 // advanceAndComplete applies elapsed time to every in-flight activity's
 // remaining work (one pass, in start order — the accumulation order is part
 // of the model's determinism contract) and resolves the activities that
@@ -266,7 +270,7 @@ func (s *System) advanceAndComplete() []*Resource {
 				a.remaining = 0
 			}
 		}
-		if a.remaining <= a.completionEps() {
+		if a.remaining <= a.eps {
 			a.remaining = 0
 			a.rate = 0
 			s.unregister(a)
@@ -314,11 +318,11 @@ func (s *System) solveAffected(seedRes []*Resource, started *Activity) {
 	}
 	s.epoch++
 	epoch := s.epoch
-	compActs := s.compActs[:0]
 	compRes := s.compRes[:0]
+	marked := 0
 	if started != nil && started.mark != epoch {
 		started.mark = epoch
-		compActs = append(compActs, started)
+		marked++
 		for _, u := range started.uses {
 			if u.Res.mark != epoch {
 				u.Res.mark = epoch
@@ -333,7 +337,8 @@ func (s *System) solveAffected(seedRes []*Resource, started *Activity) {
 		}
 	}
 	// Breadth-first expansion: resources pull in their users, users pull in
-	// their other resources. compRes doubles as the work queue.
+	// their other resources. compRes doubles as the work queue; activities
+	// are only marked here.
 	for i := 0; i < len(compRes); i++ {
 		for _, ru := range compRes[i].acts {
 			a := ru.a
@@ -341,7 +346,7 @@ func (s *System) solveAffected(seedRes []*Resource, started *Activity) {
 				continue
 			}
 			a.mark = epoch
-			compActs = append(compActs, a)
+			marked++
 			for _, u := range a.uses {
 				if u.Res.mark != epoch {
 					u.Res.mark = epoch
@@ -350,18 +355,28 @@ func (s *System) solveAffected(seedRes []*Resource, started *Activity) {
 			}
 		}
 	}
-	if len(compActs) == 0 {
+	if marked == 0 {
 		// Only drained resources were touched: zero their allocation.
 		for _, r := range compRes {
 			r.allocated = 0
 		}
-		s.releaseScratch(compActs, compRes)
+		s.releaseScratch(s.compActs[:0], compRes)
 		return
 	}
 	// Progressive filling iterates activities in start order and resources
 	// in registration order so every float operation sequence matches the
-	// full solve restricted to this component (see solveOracle).
-	slices.SortFunc(compActs, cmpActSeq)
+	// full solve restricted to this component (see solveOracle). s.acts is
+	// already in start order, so filtering it for the marked activities
+	// yields the component in that order without a sort.
+	compActs := s.compActs[:0]
+	for _, a := range s.acts {
+		if a.mark == epoch {
+			compActs = append(compActs, a)
+			if len(compActs) == marked {
+				break
+			}
+		}
+	}
 	slices.SortFunc(compRes, cmpResID)
 
 	for _, r := range compRes {
@@ -450,13 +465,6 @@ func (s *System) solveAffected(seedRes []*Resource, started *Activity) {
 		}
 	}
 	s.releaseScratch(compActs, compRes)
-}
-
-func cmpActSeq(a, b *Activity) int {
-	if a.seq < b.seq {
-		return -1
-	}
-	return 1 // seqs are unique; equality cannot occur
 }
 
 func cmpResID(a, b *Resource) int { return a.id - b.id }
