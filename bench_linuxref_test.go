@@ -23,6 +23,7 @@ import (
 func BenchmarkLinuxrefExp1WriteHeavy100GB(b *testing.B) {
 	const size = 100 * units.GB
 	files := workload.SyntheticFiles(0)
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		rig, model, err := exp.NewLocalReal(0)
 		if err != nil {

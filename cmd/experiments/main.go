@@ -19,6 +19,7 @@
 //	experiments -writebacks          # writeback-policy ablation (list-order/oldest-first/file-rr/proportional)
 //	experiments -devices             # per-device writeback ablation (mixed-speed host vs CAWL model)
 //	experiments -ffwd                # fast-forward speedup/error ablation (exact vs phase-skipped)
+//	experiments -quick -cpuprofile cpu.pprof -memprofile mem.pprof  # profiles for go tool pprof
 //
 // With -queue-dir the grid runs through a durable, file-backed queue that
 // survives coordinator and worker crashes and that several hosts sharing the
@@ -44,6 +45,7 @@ import (
 	"repro/internal/grid"
 	"repro/internal/metrics"
 	"repro/internal/platform"
+	"repro/internal/prof"
 	"repro/internal/queue"
 	"repro/internal/textplot"
 	"repro/internal/units"
@@ -56,7 +58,7 @@ func main() {
 
 // Main runs the experiments CLI and returns a process exit code. It is
 // called by main and exercised directly by tests.
-func Main(args []string, stdout io.Writer) int {
+func Main(args []string, stdout io.Writer) (code int) {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	var (
 		all       = fs.Bool("all", false, "run every experiment (default when no selector given)")
@@ -90,10 +92,25 @@ func Main(args []string, stdout io.Writer) int {
 		queueTTL     = fs.Duration("queue-lease-ttl", 30*time.Second, "queue cell lease TTL: heartbeats renew it at TTL/4; a worker silent past its TTL forfeits its cells")
 		queueMax     = fs.Int("queue-max-cells", 0, "with -queue-worker, each drain loop runs at most N cells then exits (0: until drained)")
 		timingsJSON  = fs.String("timings-json", "", "write the grid utilization summary as machine-readable JSON to FILE (the BENCH_* field format)")
+		cpuProf      = fs.String("cpuprofile", "", "write a CPU profile (runtime/pprof) to FILE")
+		memProf      = fs.String("memprofile", "", "write a heap profile (runtime/pprof) to FILE at exit")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	stopProf, err := prof.Start(*cpuProf, *memProf)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+		return 2
+	}
+	defer func() {
+		if err := stopProf(); err != nil {
+			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+			if code == 0 {
+				code = 1
+			}
+		}
+	}()
 	if *reps < 1 {
 		fmt.Fprintf(os.Stderr, "experiments: -reps must be at least 1, got %d\n", *reps)
 		return 2

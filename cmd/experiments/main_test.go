@@ -170,3 +170,24 @@ func TestBadSizeFlag(t *testing.T) {
 		}
 	}
 }
+
+// TestProfileFlags: -cpuprofile and -memprofile write non-empty profiles
+// and leave stdout and every CSV byte-identical; an unwritable profile path
+// is a config error reported before any cell runs.
+func TestProfileFlags(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	stdoutOff, csvOff := runGrid(t)
+	stdoutOn, csvOn := runGrid(t, "-cpuprofile", cpu, "-memprofile", mem)
+	expectIdentical(t, "profiles off vs on", stdoutOff, stdoutOn, csvOff, csvOn)
+	for _, path := range []string{cpu, mem} {
+		if st, err := os.Stat(path); err != nil || st.Size() == 0 {
+			t.Errorf("%s: not written (%v)", filepath.Base(path), err)
+		}
+	}
+	var b strings.Builder
+	bad := filepath.Join(dir, "missing", "cpu.pprof")
+	if code := Main([]string{"-tables", "-cpuprofile", bad}, &b); code != 2 || b.Len() != 0 {
+		t.Errorf("unwritable -cpuprofile: exit %d, stdout %q; want exit 2 and no output", code, b.String())
+	}
+}

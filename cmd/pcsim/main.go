@@ -40,6 +40,11 @@
 //	pcsim -iterations 500 -size 1GB -ram 8GiB
 //	pcsim -size 20GB -snapshot-out warm.snap.json
 //	pcsim -size 20GB -snapshot-in warm.snap.json
+//
+// -cpuprofile and -memprofile write runtime/pprof CPU and heap profiles of
+// the run for go tool pprof; stdout is the same with or without them.
+//
+//	pcsim -size 20GB -cpuprofile cpu.pprof -memprofile mem.pprof
 package main
 
 import (
@@ -52,6 +57,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/phase"
 	"repro/internal/platform"
+	"repro/internal/prof"
 	"repro/internal/textplot"
 	"repro/internal/units"
 	"repro/internal/workload"
@@ -62,7 +68,7 @@ func main() {
 }
 
 // Main runs the pcsim CLI and returns a process exit code.
-func Main(args []string, stdout io.Writer) int {
+func Main(args []string, stdout io.Writer) (code int) {
 	fs := flag.NewFlagSet("pcsim", flag.ContinueOnError)
 	var (
 		sizeStr    = fs.String("size", "20GB", "per-file size (e.g. 3GB, 500MB)")
@@ -90,10 +96,25 @@ func Main(args []string, stdout io.Writer) int {
 		ffwdTol    = fs.Float64("ffwd-tol", phase.DefaultTol, "relative tolerance on the continuous phase-signature components")
 		snapOut    = fs.String("snapshot-out", "", "write the final cache state to this snapshot file")
 		snapIn     = fs.String("snapshot-in", "", "restore cache state from this snapshot file before the run")
+		cpuProf    = fs.String("cpuprofile", "", "write a CPU profile (runtime/pprof) to FILE")
+		memProf    = fs.String("memprofile", "", "write a heap profile (runtime/pprof) to FILE at exit")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	stopProf, err := prof.Start(*cpuProf, *memProf)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "pcsim: %v\n", err)
+		return 2
+	}
+	defer func() {
+		if err := stopProf(); err != nil {
+			fmt.Fprintf(os.Stderr, "pcsim: %v\n", err)
+			if code == 0 {
+				code = 1
+			}
+		}
+	}()
 	seedSet := false
 	fs.Visit(func(f *flag.Flag) {
 		if f.Name == "chaos-seed" {

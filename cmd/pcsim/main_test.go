@@ -139,3 +139,31 @@ func TestPcsimWritebackFlags(t *testing.T) {
 		}
 	}
 }
+
+// TestPcsimProfileFlags: -cpuprofile and -memprofile write non-empty
+// profiles and leave stdout byte-identical; an unwritable profile path is
+// a config error.
+func TestPcsimProfileFlags(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	args := []string{"-size", "1GB", "-ram", "4GiB", "-instances", "2"}
+	var off, on strings.Builder
+	if code := Main(args, &off); code != 0 {
+		t.Fatalf("exit %d", code)
+	}
+	if code := Main(append(args, "-cpuprofile", cpu, "-memprofile", mem), &on); code != 0 {
+		t.Fatalf("exit %d with profiles", code)
+	}
+	if off.String() != on.String() {
+		t.Errorf("stdout differs with profiles on:\n%s\nvs\n%s", off.String(), on.String())
+	}
+	for _, path := range []string{cpu, mem} {
+		if st, err := os.Stat(path); err != nil || st.Size() == 0 {
+			t.Errorf("%s: not written (%v)", filepath.Base(path), err)
+		}
+	}
+	var b strings.Builder
+	if code := Main(append(args, "-memprofile", filepath.Join(dir, "missing", "mem.pprof")), &b); code != 2 || b.Len() != 0 {
+		t.Errorf("unwritable -memprofile: exit %d, stdout %q; want exit 2 and no output", code, b.String())
+	}
+}

@@ -38,8 +38,8 @@ func (m *Model) writebackWork(now float64) bool {
 	if m.dirtyBytes() > m.dirtyBgLimit() {
 		return true
 	}
-	f := m.dirtyQ.head
-	return f != nil && now-f.entry >= m.cfg.DirtyExpire
+	r := m.dirtyQ.head
+	return r != 0 && now-m.at(r).entry >= m.cfg.DirtyExpire
 }
 
 // writebackBatch cleans up to WritebackBatch bytes of the oldest dirty
@@ -48,16 +48,16 @@ func (m *Model) writebackWork(now float64) bool {
 func (m *Model) writebackBatch(c core.Caller) {
 	budget := m.cfg.WritebackBatch
 	for budget > 0 {
-		f := m.dirtyQ.head
-		if f == nil {
+		r := m.dirtyQ.head
+		if r == 0 {
 			return
 		}
 		// Gather folios of the same file from the queue head run.
-		name := f.fs.name
+		name := m.name(m.at(r))
 		var bytes int64
 		for budget > 0 {
 			g := m.dirtyQ.head
-			if g == nil || g.fs.name != name {
+			if g == 0 || m.name(m.at(g)) != name {
 				break
 			}
 			m.markClean(g)
@@ -117,12 +117,12 @@ func (m *Model) ensureFree(c core.Caller, need int64) error {
 			continue
 		}
 		// No process context (sequential tests): flush synchronously.
-		f := m.dirtyQ.head
-		if f == nil {
+		r := m.dirtyQ.head
+		if r == 0 {
 			return ErrOutOfMemory
 		}
-		m.markClean(f)
-		c.DiskWrite(f.fs.name.name, m.cfg.FolioSize)
+		m.markClean(r)
+		c.DiskWrite(m.name(m.at(r)).name, m.cfg.FolioSize)
 	}
 	return nil
 }
@@ -134,15 +134,15 @@ func (m *Model) folioRange(off, n int64) (lo, hi int64) {
 	return lo, hi
 }
 
-// touch handles a cache hit on f: referenced-bit promotion as in
+// touch handles a cache hit on folio r: referenced-bit promotion as in
 // mark_page_accessed (inactive+referenced → active MRU).
-func (m *Model) touch(f *folio) {
-	switch {
-	case f.list == &m.active:
+func (m *Model) touch(r int32) {
+	switch f := m.at(r); {
+	case f.list == listActive:
 		f.referenced = true // stays put; order refreshed on activation only
 	case f.referenced:
-		m.inactive.remove(f)
-		m.active.pushBack(f)
+		m.unlist(r)
+		m.pushBack(&m.active, r)
 	default:
 		f.referenced = true
 	}
@@ -166,7 +166,7 @@ func (m *Model) ReadFile(c core.Caller, file string, n, fileSize int64) error {
 		lo, hi := m.folioRange(off, cs)
 		var missFolios int64
 		for i := lo; i < hi; i++ {
-			if fs.at(i) == nil {
+			if fs.at(i) == 0 {
 				missFolios++
 			}
 		}
@@ -181,7 +181,7 @@ func (m *Model) ReadFile(c core.Caller, file string, n, fileSize int64) error {
 		if missBytes > 0 {
 			c.DiskRead(file, missBytes)
 			for i := lo; i < hi; i++ {
-				if fs.at(i) == nil {
+				if fs.at(i) == 0 {
 					m.insert(fs, i)
 				}
 			}
@@ -190,8 +190,8 @@ func (m *Model) ReadFile(c core.Caller, file string, n, fileSize int64) error {
 			c.MemRead(hitBytes)
 		}
 		for i := lo; i < hi; i++ {
-			if f := fs.at(i); f != nil {
-				m.touch(f)
+			if r := fs.at(i); r != 0 {
+				m.touch(r)
 			}
 		}
 		m.anon += cs
@@ -232,22 +232,22 @@ func (m *Model) WriteFile(c core.Caller, file string, size int64) error {
 			if p := callerProc(c); p != nil {
 				m.waitProgress(p)
 			} else {
-				f := m.dirtyQ.head
-				if f == nil {
+				r := m.dirtyQ.head
+				if r == 0 {
 					break
 				}
-				m.markClean(f)
-				c.DiskWrite(f.fs.name.name, m.cfg.FolioSize)
+				m.markClean(r)
+				c.DiskWrite(m.name(m.at(r)).name, m.cfg.FolioSize)
 			}
 		}
 		c.MemWrite(cs)
 		now := c.Now()
 		for i := lo; i < hi; i++ {
-			f := fs.at(i)
-			if f == nil {
-				f = m.insert(fs, i)
+			r := fs.at(i)
+			if r == 0 {
+				r = m.insert(fs, i)
 			}
-			m.markDirty(f, now)
+			m.markDirty(r, now)
 		}
 		if m.dirtyBytes() > m.dirtyBgLimit() {
 			m.kickFlusher()

@@ -21,27 +21,47 @@
 //
 // The experiment grids spend most of their time here, so reclaim and
 // writeback are indexed, the way internal/core indexes its Manager. Each
-// file keeps a dense folio table, and each folio points at its file's state
-// and, through it, at the per-name open-writer count. Dirty folios sit on
+// file keeps a dense folio table, and each folio names its file's state
+// and, through it, the per-name open-writer count. Dirty folios sit on
 // an intrusive FIFO in the order they were dirtied. Each of the two reclaim
 // passes over the inactive list resumes at its own cursor, past the folios
 // it already knows it must skip; cleaning a folio or closing a name's last
 // writer moves the cursor back to the folios that became reclaimable, so a
 // skipped folio is visited again only after such a change. Per operation
-// (restart-at-head scan → resumable cursors):
+// (restart-at-head scan → resumable cursors; heap objects → slab):
 //
 //	folio lookup                 map access               → slice index
-//	protection test              string-keyed map lookup  → pointer read
+//	protection test              string-keyed map lookup  → two index reads
 //	reclaim scan, per call       whole inactive list      → folios past the cursor
 //	last writer's close          O(1)                     → table slots of the name
+//	folio allocation             one heap object          → free-chain pop or slab slot
+//	GC scan of cached folios     six pointers per folio   → none
+//	link update                  pointer store + barrier  → int32 store
 //
 // On a write-heavy run the scans visit a small constant number of folios
 // per folio inserted, where restarting at the head is quadratic.
+//
+// # Memory layout
+//
+// Folios hold no pointers. They live in a slab the Model owns, stored as
+// fixed pages of slabPage records, and are addressed by int32 slot refs;
+// slot 0 is never handed out and means "none". Every list link, list
+// head and tail, scan cursor, dirty FIFO end and file table entry is a slot
+// ref, a folio names its list by a uint8 id and its file by an index into
+// the Model's append-only fileState table. Evicted and dropped folios are
+// chained through their next link and reused before the slab grows, so the
+// slab never holds more slots than the peak number of cached folios, which
+// reclaim bounds by TotalMem/FolioSize (Validate rejects configurations
+// whose bound does not fit in a slot ref). Because the records are
+// pointer-free, the garbage collector never scans the slab and a link
+// update needs no write barrier; because pages never move, growing the
+// slab copies only the page table, never a folio.
 package linuxref
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/core"
@@ -98,6 +118,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("linuxref: TotalMem must be positive")
 	case c.FolioSize <= 0:
 		return fmt.Errorf("linuxref: FolioSize must be positive")
+	case c.TotalMem/c.FolioSize > maxSlots:
+		return fmt.Errorf("linuxref: TotalMem/FolioSize = %d folios exceeds the %d folio slots", c.TotalMem/c.FolioSize, maxSlots)
 	case c.ReadChunk <= 0:
 		return fmt.Errorf("linuxref: ReadChunk must be positive")
 	case c.DirtyRatio <= 0 || c.DirtyRatio > 1:
@@ -114,17 +136,34 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// folio is one cache unit.
+// Slab geometry. Slot refs run from 1 to maxSlots, so the high-water mark
+// (one past the last slot handed out) still fits in an int32.
+const (
+	slabShift = 12
+	slabPage  = 1 << slabShift // folios per page
+	slabMask  = slabPage - 1
+	maxSlots  = math.MaxInt32 - 1
+)
+
+// List ids (folio.list).
+const (
+	listNone uint8 = iota
+	listInactive
+	listActive
+)
+
+// folio is one cache unit, a slab record. It holds no pointers (see the
+// package comment); every ref is a slot, 0 meaning none.
 type folio struct {
-	fs           *fileState
-	idx          int64
-	dirty        bool
-	referenced   bool
 	entry        float64 // time dirtied (writeback expiry)
 	seq          uint64  // list insertion stamp: orders folios in O(1)
-	prev, next   *folio
-	list         *folioList
-	dprev, dnext *folio // dirty FIFO links (valid while dirty)
+	idx          int64   // folio number within its file
+	fs           int32   // owning fileState, an index into Model.states
+	prev, next   int32   // list links; next also chains free slots
+	dprev, dnext int32   // dirty FIFO links (valid while dirty)
+	list         uint8   // listNone, listInactive or listActive
+	dirty        bool
+	referenced   bool
 }
 
 // Reclaim passes over the inactive list (see scanInactive). Each has its
@@ -138,96 +177,20 @@ const (
 // folioList is an intrusive LRU list: front = LRU, back = MRU. pushBack
 // stamps each folio with a strictly increasing seq. cursor[p] is where
 // reclaim pass p resumes: every folio before it is known to be skipped by
-// that pass, and nil means every listed folio is. Only the inactive list's
+// that pass, and 0 means every listed folio is. Only the inactive list's
 // cursors are read; the list operations keep them valid, and the Model
 // rewinds them when a folio stops being skipped.
 type folioList struct {
-	head, tail *folio
+	id         uint8
+	head, tail int32
 	count      int64
 	seq        uint64
-	cursor     [numPasses]*folio
-}
-
-func (l *folioList) pushBack(f *folio) {
-	if f.list != nil {
-		panic("linuxref: folio already listed")
-	}
-	f.list = l
-	f.prev = l.tail
-	f.next = nil
-	if l.tail != nil {
-		l.tail.next = f
-	} else {
-		l.head = f
-	}
-	l.tail = f
-	l.count++
-	l.seq++
-	f.seq = l.seq
-	for p, c := range l.cursor {
-		if c == nil {
-			l.cursor[p] = f
-		}
-	}
-}
-
-func (l *folioList) remove(f *folio) {
-	if f.list != l {
-		panic("linuxref: folio not in this list")
-	}
-	for p, c := range l.cursor {
-		if c == f {
-			l.cursor[p] = f.next
-		}
-	}
-	if f.prev != nil {
-		f.prev.next = f.next
-	} else {
-		l.head = f.next
-	}
-	if f.next != nil {
-		f.next.prev = f.prev
-	} else {
-		l.tail = f.prev
-	}
-	f.prev, f.next, f.list = nil, nil, nil
-	l.count--
-}
-
-// rewind moves pass p's cursor back to f, a folio of l, if f precedes it.
-func (l *folioList) rewind(p int, f *folio) {
-	if c := l.cursor[p]; c == nil || f.seq < c.seq {
-		l.cursor[p] = f
-	}
+	cursor     [numPasses]int32
 }
 
 // dirtyFIFO threads every dirty folio in the order it was dirtied, so entry
 // never decreases from head to tail.
-type dirtyFIFO struct{ head, tail *folio }
-
-func (q *dirtyFIFO) pushBack(f *folio) {
-	f.dprev, f.dnext = q.tail, nil
-	if q.tail != nil {
-		q.tail.dnext = f
-	} else {
-		q.head = f
-	}
-	q.tail = f
-}
-
-func (q *dirtyFIFO) remove(f *folio) {
-	if f.dprev != nil {
-		f.dprev.dnext = f.dnext
-	} else {
-		q.head = f.dnext
-	}
-	if f.dnext != nil {
-		f.dnext.dprev = f.dprev
-	} else {
-		q.tail = f.dprev
-	}
-	f.dprev, f.dnext = nil, nil
-}
+type dirtyFIFO struct{ head, tail int32 }
 
 // fileName is the per-name state that outlives InvalidateFile: the open
 // writer count (protection is keyed by name, so a re-created file is
@@ -246,10 +209,11 @@ type fileName struct {
 // already in flight keep using it.
 type fileState struct {
 	name   *fileName
-	folios []*folio // by folio number; nil = not cached
-	live   int64    // non-nil folios
+	folios []int32 // slot by folio number; 0 = not cached
+	live   int64   // nonzero slots
 	size   int64
-	onName bool // registered in name.states
+	id     int32 // index in Model.states
+	onName bool  // registered in name.states
 }
 
 // reserve sizes fs's table for folios below n in one allocation.
@@ -259,12 +223,12 @@ func (fs *fileState) reserve(n int64) {
 	}
 }
 
-// at returns folio i, or nil if it is not cached.
-func (fs *fileState) at(i int64) *folio {
+// at returns the slot of folio i, or 0 if it is not cached.
+func (fs *fileState) at(i int64) int32 {
 	if i < int64(len(fs.folios)) {
 		return fs.folios[i]
 	}
-	return nil
+	return 0
 }
 
 // Model is the reference kernel for one host. It implements
@@ -273,14 +237,16 @@ type Model struct {
 	cfg      Config
 	files    map[string]*fileState
 	names    map[string]*fileName // never deleted
+	states   []*fileState         // by fileState.id; append-only
+	pages    []*[slabPage]folio   // the folio slab
+	top      int32                // slots [1, top) have been handed out
+	freed    int32                // most recently freed slot; the free chain runs through next
 	inactive folioList
 	active   folioList
 	dirtyQ   dirtyFIFO
-	dirty    int64  // folio count
-	anon     int64  // bytes
-	scanned  int64  // folios visited by scanInactive
-	spare    *folio // evicted folios for reuse, linked through next
-	spareN   int
+	dirty    int64 // folio count
+	anon     int64 // bytes
+	scanned  int64 // folios visited by scanInactive
 
 	k        *des.Kernel
 	mkCaller func(*des.Proc) core.Caller
@@ -296,9 +262,12 @@ func New(cfg Config) (*Model, error) {
 		return nil, err
 	}
 	return &Model{
-		cfg:   cfg,
-		files: make(map[string]*fileState),
-		names: make(map[string]*fileName),
+		cfg:      cfg,
+		files:    make(map[string]*fileState),
+		names:    make(map[string]*fileName),
+		top:      1,
+		inactive: folioList{id: listInactive},
+		active:   folioList{id: listActive},
 	}, nil
 }
 
@@ -322,6 +291,143 @@ func (m *Model) lowWater() int64 {
 	return int64(m.cfg.WatermarkLow * float64(m.cfg.TotalMem))
 }
 
+// Slab ----------------------------------------------------------------------
+
+// at returns the folio in slot r (r > 0). Pages never move, so the pointer
+// stays valid while the slab grows.
+func (m *Model) at(r int32) *folio { return &m.pages[r>>slabShift][r&slabMask] }
+
+// alloc hands out a zeroed slot: the most recently freed one, else the
+// next never-used one.
+func (m *Model) alloc() int32 {
+	if r := m.freed; r != 0 {
+		f := m.at(r)
+		m.freed, f.next = f.next, 0
+		return r
+	}
+	if m.top > maxSlots {
+		// Validate bounds the folios reclaim keeps to maxSlots; only
+		// writers inserting past it between reclaims could get here.
+		panic("linuxref: folio slab exhausted")
+	}
+	r := m.top
+	if int(r>>slabShift) == len(m.pages) {
+		m.pages = append(m.pages, new([slabPage]folio))
+	}
+	m.top++
+	return r
+}
+
+// release zeroes an unlisted, clean slot r and chains it for reuse.
+func (m *Model) release(r int32) {
+	*m.at(r) = folio{next: m.freed}
+	m.freed = r
+}
+
+// name returns the per-name state of f's file.
+func (m *Model) name(f *folio) *fileName { return m.states[f.fs].name }
+
+// Lists ---------------------------------------------------------------------
+
+// list returns the list with the given id.
+func (m *Model) list(id uint8) *folioList {
+	switch id {
+	case listInactive:
+		return &m.inactive
+	case listActive:
+		return &m.active
+	}
+	panic("linuxref: folio not listed")
+}
+
+// pushBack appends the unlisted folio r at l's MRU end.
+func (m *Model) pushBack(l *folioList, r int32) {
+	f := m.at(r)
+	if f.list != listNone {
+		panic("linuxref: folio already listed")
+	}
+	f.list = l.id
+	f.prev = l.tail
+	f.next = 0
+	if l.tail != 0 {
+		m.at(l.tail).next = r
+	} else {
+		l.head = r
+	}
+	l.tail = r
+	l.count++
+	l.seq++
+	f.seq = l.seq
+	for p, c := range l.cursor {
+		if c == 0 {
+			l.cursor[p] = r
+		}
+	}
+}
+
+// unlist removes folio r from the list it is on.
+func (m *Model) unlist(r int32) {
+	f := m.at(r)
+	l := m.list(f.list)
+	for p, c := range l.cursor {
+		if c == r {
+			l.cursor[p] = f.next
+		}
+	}
+	if f.prev != 0 {
+		m.at(f.prev).next = f.next
+	} else {
+		l.head = f.next
+	}
+	if f.next != 0 {
+		m.at(f.next).prev = f.prev
+	} else {
+		l.tail = f.prev
+	}
+	f.prev, f.next, f.list = 0, 0, listNone
+	l.count--
+}
+
+// rewind moves the inactive list's pass-p cursor back to r, an inactive
+// folio, if r precedes it.
+func (m *Model) rewind(p int, r int32) {
+	if c := m.inactive.cursor[p]; c == 0 || m.at(r).seq < m.at(c).seq {
+		m.inactive.cursor[p] = r
+	}
+}
+
+// queueDirty appends folio r to the dirty FIFO.
+func (m *Model) queueDirty(r int32) {
+	q := &m.dirtyQ
+	f := m.at(r)
+	f.dprev, f.dnext = q.tail, 0
+	if q.tail != 0 {
+		m.at(q.tail).dnext = r
+	} else {
+		q.head = r
+	}
+	q.tail = r
+}
+
+// unqueueDirty removes folio r from the dirty FIFO.
+func (m *Model) unqueueDirty(r int32) {
+	q := &m.dirtyQ
+	f := m.at(r)
+	if f.dprev != 0 {
+		m.at(f.dprev).dnext = f.dnext
+	} else {
+		q.head = f.dnext
+	}
+	if f.dnext != 0 {
+		m.at(f.dnext).dprev = f.dprev
+	} else {
+		q.tail = f.dprev
+	}
+	f.dprev, f.dnext = 0, 0
+}
+
+// Model operations ----------------------------------------------------------
+
 func (m *Model) state(file string) *fileState {
 	fs := m.files[file]
 	if fs == nil {
@@ -330,36 +436,34 @@ func (m *Model) state(file string) *fileState {
 			n = &fileName{name: file}
 			m.names[file] = n
 		}
-		fs = &fileState{name: n}
+		fs = &fileState{name: n, id: int32(len(m.states))}
+		m.states = append(m.states, fs)
 		m.files[file] = fs
 	}
 	return fs
 }
 
-// insert caches a new clean folio i of fs at the inactive MRU end.
-func (m *Model) insert(fs *fileState, i int64) *folio {
+// insert caches a new clean folio i of fs at the inactive MRU end and
+// returns its slot.
+func (m *Model) insert(fs *fileState, i int64) int32 {
 	if grow := i + 1 - int64(len(fs.folios)); grow > 0 {
-		fs.folios = append(fs.folios, make([]*folio, grow)...)
+		fs.folios = append(fs.folios, make([]int32, grow)...)
 	}
-	f := m.spare
-	if f != nil {
-		m.spare, m.spareN = f.next, m.spareN-1
-		*f = folio{fs: fs, idx: i}
-	} else {
-		f = &folio{fs: fs, idx: i}
-	}
-	fs.folios[i] = f
+	r := m.alloc()
+	f := m.at(r)
+	f.fs, f.idx = fs.id, i
+	fs.folios[i] = r
 	fs.live++
 	if !fs.onName {
 		fs.onName = true
 		fs.name.states = append(fs.name.states, fs)
 	}
-	m.inactive.pushBack(f)
-	return f
+	m.pushBack(&m.inactive, r)
+	return r
 }
 
 func (m *Model) protected(f *folio) bool {
-	return m.cfg.ProtectOpenWrites && f.fs.name.writers > 0
+	return m.cfg.ProtectOpenWrites && m.name(f).writers > 0
 }
 
 // closeWriter ends one WriteFile on n. When the name's last writer closes,
@@ -381,9 +485,12 @@ func (m *Model) closeWriter(n *fileName) {
 		if !m.cfg.ProtectOpenWrites {
 			continue
 		}
-		for _, f := range fs.folios {
-			if f != nil && f.list == &m.inactive && !f.dirty {
-				m.inactive.rewind(passProtect, f)
+		for _, r := range fs.folios {
+			if r == 0 {
+				continue
+			}
+			if f := m.at(r); f.list == listInactive && !f.dirty {
+				m.rewind(passProtect, r)
 			}
 		}
 	}
@@ -391,46 +498,54 @@ func (m *Model) closeWriter(n *fileName) {
 	n.states = kept
 }
 
-// markDirty flags f dirty at time now and queues it for writeback.
-func (m *Model) markDirty(f *folio, now float64) {
-	if !f.dirty {
+// markDirty flags folio r dirty at time now and queues it for writeback.
+func (m *Model) markDirty(r int32, now float64) {
+	if f := m.at(r); !f.dirty {
 		f.dirty = true
 		f.entry = now
 		m.dirty++
-		m.dirtyQ.pushBack(f)
+		m.queueDirty(r)
 	}
 }
 
-// markClean unqueues a dirty f. An inactive folio that was skipped for
-// being dirty may now be reclaimable, so the cursors rewind to it: the
-// dirty-only pass's always, the protection pass's unless f is protected.
-func (m *Model) markClean(f *folio) {
+// markClean unqueues a dirty folio r. An inactive folio that was skipped
+// for being dirty may now be reclaimable, so the cursors rewind to it: the
+// dirty-only pass's always, the protection pass's unless it is protected.
+func (m *Model) markClean(r int32) {
+	f := m.at(r)
 	if !f.dirty {
 		return
 	}
 	f.dirty = false
 	m.dirty--
-	m.dirtyQ.remove(f)
-	if f.list == &m.inactive {
-		m.inactive.rewind(passDirty, f)
+	m.unqueueDirty(r)
+	if f.list == listInactive {
+		m.rewind(passDirty, r)
 		if !m.protected(f) {
-			m.inactive.rewind(passProtect, f)
+			m.rewind(passProtect, r)
 		}
 	}
+}
+
+// demote moves the active list's LRU folio to the inactive MRU end,
+// clearing its referenced bit. It reports false if the active list is
+// empty.
+func (m *Model) demote() bool {
+	r := m.active.head
+	if r == 0 {
+		return false
+	}
+	m.unlist(r)
+	m.at(r).referenced = false
+	m.pushBack(&m.inactive, r)
+	return true
 }
 
 // shrinkActive demotes active-list LRU folios into the inactive list until
 // inactive ≥ active/2 (the kernel's inactive_is_low balancing), clearing
 // referenced bits on the way.
 func (m *Model) shrinkActive() {
-	for m.active.count > 2*m.inactive.count {
-		f := m.active.head
-		if f == nil {
-			return
-		}
-		m.active.remove(f)
-		f.referenced = false
-		m.inactive.pushBack(f)
+	for m.active.count > 2*m.inactive.count && m.demote() {
 	}
 }
 
@@ -474,25 +589,26 @@ func (m *Model) scanInactive(need int64, honorProtection bool) bool {
 		pass = passProtect
 	}
 	evicted := false
-	f := m.inactive.cursor[pass]
-	for f != nil && m.free() < need {
+	r := m.inactive.cursor[pass]
+	for r != 0 && m.free() < need {
 		m.scanned++
+		f := m.at(r)
 		next := f.next
 		switch {
 		case f.dirty || (honorProtection && m.protected(f)):
 			// Writeback or protection must release it first.
 		case f.referenced:
-			m.inactive.remove(f)
+			m.unlist(r)
 			f.referenced = false
-			m.active.pushBack(f)
+			m.pushBack(&m.active, r)
 		default:
-			m.inactive.remove(f)
-			m.untable(f)
+			m.unlist(r)
+			m.untable(r)
 			evicted = true
 		}
-		f = next
+		r = next
 	}
-	m.inactive.cursor[pass] = f
+	m.inactive.cursor[pass] = r
 	return evicted
 }
 
@@ -503,34 +619,20 @@ func (m *Model) scanInactive(need int64, honorProtection bool) bool {
 func (m *Model) forceShrinkActive(need int64) bool {
 	batch := need/m.cfg.FolioSize + 1024
 	demoted := false
-	for i := int64(0); i < batch; i++ {
-		f := m.active.head
-		if f == nil {
-			return demoted
-		}
-		m.active.remove(f)
-		f.referenced = false
-		m.inactive.pushBack(f)
+	for i := int64(0); i < batch && m.demote(); i++ {
 		demoted = true
 	}
 	return demoted
 }
 
-// spareCap bounds the evicted folios kept for reuse. Reclaim mostly makes
-// room for the next inserts, so a short list catches nearly all of them
-// without pinning memory that anonymous use took over.
-const spareCap = 4096
-
-// untable removes an evicted (already unlisted) folio from its file table
-// and keeps it for reuse by insert.
-func (m *Model) untable(f *folio) {
-	f.fs.folios[f.idx] = nil
-	f.fs.live--
-	if m.spareN < spareCap {
-		*f = folio{next: m.spare}
-		m.spare = f
-		m.spareN++
-	}
+// untable removes an evicted (already unlisted) folio r from its file
+// table and frees its slot.
+func (m *Model) untable(r int32) {
+	f := m.at(r)
+	fs := m.states[f.fs]
+	fs.folios[f.idx] = 0
+	fs.live--
+	m.release(r)
 }
 
 // Stats / introspection -----------------------------------------------------
@@ -570,11 +672,12 @@ func (m *Model) InvalidateFile(file string) {
 		return
 	}
 	// Unlist before cleaning: a dropped folio needs no cursor rewind. The
-	// slots go too, so a write still in flight on fs caches fresh folios.
-	for _, f := range fs.folios {
-		if f != nil {
-			f.list.remove(f)
-			m.markClean(f)
+	// table goes too, so a write still in flight on fs caches fresh folios.
+	for _, r := range fs.folios {
+		if r != 0 {
+			m.unlist(r)
+			m.markClean(r)
+			m.release(r)
 		}
 	}
 	fs.folios, fs.live = nil, 0
@@ -590,58 +693,99 @@ func (m *Model) ReleaseAnon(n int64) {
 }
 
 // CheckInvariants verifies internal consistency, including every index:
-// the file tables, the list links and seq order, the scan cursors, and the
-// dirty FIFO. It costs O(cached folios + file table slots).
+// the slab and its free chain, the file tables, the list links and seq
+// order, the scan cursors, and the dirty FIFO. It costs O(slab slots + file
+// table slots).
 func (m *Model) CheckInvariants() error {
+	if m.top < 1 || m.top > 1 && int64(m.top) > int64(len(m.pages))*slabPage {
+		return fmt.Errorf("slab high-water mark %d outside its %d pages", m.top, len(m.pages))
+	}
+	valid := func(r int32) bool { return r > 0 && r < m.top }
+	where := func(f *folio) string {
+		if f.fs < 0 || int(f.fs) >= len(m.states) {
+			return fmt.Sprintf("<file %d>[%d]", f.fs, f.idx)
+		}
+		return fmt.Sprintf("%s[%d]", m.name(f).name, f.idx)
+	}
+	// used marks every slot found listed or free; no slot may be both or
+	// be found twice.
+	used := make([]bool, m.top)
+
 	// Lists: links, counts, strictly increasing seq, tabled folios, and the
 	// inactive cursors' skipped prefixes.
 	states := make(map[*fileState]bool, len(m.files))
 	var listed, dirtyListed int64
 	for _, l := range []*folioList{&m.inactive, &m.active} {
 		var n int64
-		var prev *folio
+		var prev int32
 		before := [numPasses]bool{true, true}
-		for f := l.head; f != nil; f = f.next {
+		for r := l.head; r != 0; r = m.at(r).next {
 			if n++; n > l.count {
 				return fmt.Errorf("list holds more than its count %d", l.count)
 			}
-			if f.list != l || f.prev != prev {
-				return fmt.Errorf("list link corruption at %s[%d]", f.fs.name.name, f.idx)
+			if !valid(r) || used[r] {
+				return fmt.Errorf("list %d links slot %d twice or outside the slab", l.id, r)
 			}
-			if prev != nil && f.seq <= prev.seq {
-				return fmt.Errorf("seq %d after %d at %s[%d]", f.seq, prev.seq, f.fs.name.name, f.idx)
+			used[r] = true
+			f := m.at(r)
+			if f.fs < 0 || int(f.fs) >= len(m.states) {
+				return fmt.Errorf("slot %d names file state %d of %d", r, f.fs, len(m.states))
 			}
-			if f.fs.at(f.idx) != f {
-				return fmt.Errorf("listed folio %s[%d] not tabled", f.fs.name.name, f.idx)
+			if f.list != l.id || f.prev != prev {
+				return fmt.Errorf("list link corruption at %s", where(f))
+			}
+			if prev != 0 && f.seq <= m.at(prev).seq {
+				return fmt.Errorf("seq %d after %d at %s", f.seq, m.at(prev).seq, where(f))
+			}
+			fs := m.states[f.fs]
+			if fs.at(f.idx) != r {
+				return fmt.Errorf("listed folio %s not tabled", where(f))
 			}
 			for p := range before {
-				if l.cursor[p] == f {
+				if l.cursor[p] == r {
 					before[p] = false
 				}
 			}
 			if l == &m.inactive {
 				if before[passProtect] && !f.dirty && !m.protected(f) {
-					return fmt.Errorf("reclaimable folio %s[%d] before the protection cursor", f.fs.name.name, f.idx)
+					return fmt.Errorf("reclaimable folio %s before the protection cursor", where(f))
 				}
 				if before[passDirty] && !f.dirty {
-					return fmt.Errorf("clean folio %s[%d] before the dirty-only cursor", f.fs.name.name, f.idx)
+					return fmt.Errorf("clean folio %s before the dirty-only cursor", where(f))
 				}
 			}
 			if f.dirty {
 				dirtyListed++
 			}
-			states[f.fs] = true
-			prev = f
+			states[fs] = true
+			prev = r
 		}
 		if n != l.count || prev != l.tail {
 			return fmt.Errorf("list count %d, walked %d", l.count, n)
 		}
 		for p, c := range l.cursor {
-			if c != nil && c.list != l {
+			if c != 0 && (!valid(c) || m.at(c).list != l.id) {
 				return fmt.Errorf("cursor %d points off its list", p)
 			}
 		}
 		listed += n
+	}
+
+	// Free chain: acyclic, disjoint from the lists, zero links, and with
+	// the lists it covers every slot handed out.
+	var freeN int64
+	for r := m.freed; r != 0; r = m.at(r).next {
+		if !valid(r) || used[r] {
+			return fmt.Errorf("free chain reaches slot %d twice, listed or outside the slab", r)
+		}
+		used[r] = true
+		if f := m.at(r); *f != (folio{next: f.next}) {
+			return fmt.Errorf("free slot %d not zeroed", r)
+		}
+		freeN++
+	}
+	if listed+freeN != int64(m.top)-1 {
+		return fmt.Errorf("slab hands out %d slots: %d listed, %d free", m.top-1, listed, freeN)
 	}
 
 	// Tables: every cached slot is a listed folio that points back at it.
@@ -655,15 +799,22 @@ func (m *Model) CheckInvariants() error {
 	}
 	var tabled int64
 	for fs := range states {
+		if fs.id < 0 || int(fs.id) >= len(m.states) || m.states[fs.id] != fs {
+			return fmt.Errorf("file %s: state id %d not registered", fs.name.name, fs.id)
+		}
 		var live int64
-		for idx, f := range fs.folios {
-			if f == nil {
+		for idx, r := range fs.folios {
+			if r == 0 {
 				continue
 			}
-			if f.fs != fs || f.idx != int64(idx) {
+			if !valid(r) {
+				return fmt.Errorf("file %s: slot %d outside the slab", fs.name.name, r)
+			}
+			f := m.at(r)
+			if f.fs != fs.id || f.idx != int64(idx) {
 				return fmt.Errorf("folio table corruption for %s[%d]", fs.name.name, idx)
 			}
-			if f.list == nil {
+			if f.list == listNone {
 				return fmt.Errorf("tabled folio %s[%d] not in any list", fs.name.name, idx)
 			}
 			live++
@@ -685,21 +836,25 @@ func (m *Model) CheckInvariants() error {
 
 	// Dirty FIFO: exactly the dirty folios, in non-decreasing entry order.
 	var queued int64
-	var prev *folio
-	for f := m.dirtyQ.head; f != nil; f = f.dnext {
+	var prev int32
+	for r := m.dirtyQ.head; r != 0; r = m.at(r).dnext {
 		if queued++; queued > m.dirty {
 			return fmt.Errorf("dirty FIFO longer than dirty count %d", m.dirty)
 		}
+		if !valid(r) {
+			return fmt.Errorf("dirty FIFO reaches slot %d outside the slab", r)
+		}
+		f := m.at(r)
 		if f.dprev != prev {
-			return fmt.Errorf("dirty FIFO link corruption at %s[%d]", f.fs.name.name, f.idx)
+			return fmt.Errorf("dirty FIFO link corruption at %s", where(f))
 		}
-		if !f.dirty || f.list == nil || f.fs.at(f.idx) != f {
-			return fmt.Errorf("dirty FIFO holds clean or untabled folio %s[%d]", f.fs.name.name, f.idx)
+		if !f.dirty || f.list == listNone || m.states[f.fs].at(f.idx) != r {
+			return fmt.Errorf("dirty FIFO holds clean or untabled folio %s", where(f))
 		}
-		if prev != nil && f.entry < prev.entry {
-			return fmt.Errorf("dirty FIFO entry %g after %g", f.entry, prev.entry)
+		if prev != 0 && f.entry < m.at(prev).entry {
+			return fmt.Errorf("dirty FIFO entry %g after %g", f.entry, m.at(prev).entry)
 		}
-		prev = f
+		prev = r
 	}
 	if queued != m.dirty || prev != m.dirtyQ.tail {
 		return fmt.Errorf("dirty FIFO holds %d, dirty count %d", queued, m.dirty)

@@ -57,6 +57,8 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.FlushInterval = 0 },
 		func(c *Config) { c.WatermarkLow = 0.5 },
 		func(c *Config) { c.WritebackBatch = 0 },
+		// 8 TiB of 4 KiB folios is 2^31 folios: more than the slot refs.
+		func(c *Config) { c.TotalMem, c.FolioSize = 8<<40, 4<<10 },
 	}
 	for i, mutate := range bad {
 		cfg := DefaultConfig(1000)
@@ -64,6 +66,12 @@ func TestConfigValidation(t *testing.T) {
 		if _, err := New(cfg); err == nil {
 			t.Fatalf("case %d: invalid config accepted", i)
 		}
+	}
+	// The largest RAM whose folios all fit in the slot refs.
+	cfg := DefaultConfig(maxSlots * (4 << 10))
+	cfg.FolioSize = 4 << 10
+	if _, err := New(cfg); err != nil {
+		t.Fatalf("%d folios of RAM rejected: %v", int64(maxSlots), err)
 	}
 }
 
@@ -153,7 +161,7 @@ func TestAppendContinuesAfterEviction(t *testing.T) {
 	m.WriteFile(c, "f", 100)
 	// Clean and evict every folio of f (reclaim, not deletion).
 	c.now += 100
-	for m.dirtyQ.head != nil {
+	for m.dirtyQ.head != 0 {
 		m.writebackBatch(c)
 	}
 	if !m.scanInactive(10000, false) {
@@ -241,7 +249,7 @@ func TestFlusherBatchGroupsPerFile(t *testing.T) {
 	m.WriteFile(c, "b", 100)
 	// Force full writeback via the sync fallback.
 	c.now += 100
-	for m.dirtyQ.head != nil {
+	for m.dirtyQ.head != 0 {
 		m.writebackBatch(c)
 	}
 	if c.writesByFile["a"] != 100 || c.writesByFile["b"] != 100 {

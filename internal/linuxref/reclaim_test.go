@@ -189,9 +189,9 @@ func TestInvalidateWhileWriting(t *testing.T) {
 		if err := m.CheckInvariants(); err != nil {
 			return fmt.Errorf("after the writer's close: %w", err)
 		}
-		if first := earliestClean(m, rereadFS); first == nil {
+		if first := earliestClean(m, rereadFS); first == 0 {
 			return errors.New("no re-read folio left on the inactive list at close")
-		} else if c := m.inactive.cursor[passProtect]; c == nil || c.seq > first.seq {
+		} else if c := m.inactive.cursor[passProtect]; c == 0 || m.at(c).seq > m.at(first).seq {
 			return errors.New("protection cursor not rewound at close")
 		}
 		return nil
@@ -208,9 +208,9 @@ func TestInvalidateWhileWriting(t *testing.T) {
 		if writerDone || rereadFS == writerFS || rereadFS.name != writerFS.name {
 			return errors.New("re-read must share the open writer's name, not its file table")
 		}
-		for _, f := range rereadFS.folios {
-			if f != nil && !m.protected(f) {
-				return fmt.Errorf("re-read folio %d unprotected while the writer is open", f.idx)
+		for idx, r := range rereadFS.folios {
+			if r != 0 && !m.protected(m.at(r)) {
+				return fmt.Errorf("re-read folio %d unprotected while the writer is open", idx)
 			}
 		}
 		return nil
@@ -221,8 +221,8 @@ func TestInvalidateWhileWriting(t *testing.T) {
 			if err := m.CheckInvariants(); err != nil {
 				return fmt.Errorf("t=%.2f: %w", a.Now(), err)
 			}
-			if first := earliestClean(m, rereadFS); first != nil && !writerDone {
-				if c := m.inactive.cursor[passProtect]; c == nil || c.seq > first.seq {
+			if first := earliestClean(m, rereadFS); first != 0 && !writerDone {
+				if c := m.inactive.cursor[passProtect]; c == 0 || m.at(c).seq > m.at(first).seq {
 					skippedProtected = true
 				}
 			}
@@ -240,15 +240,19 @@ func TestInvalidateWhileWriting(t *testing.T) {
 	}
 }
 
-// earliestClean returns fs's first clean folio on the inactive list.
-func earliestClean(m *Model, fs *fileState) *folio {
+// earliestClean returns the slot of fs's first clean folio on the inactive
+// list, or 0 if there is none.
+func earliestClean(m *Model, fs *fileState) int32 {
 	if fs == nil {
-		return nil
+		return 0
 	}
-	var first *folio
-	for _, f := range fs.folios {
-		if f != nil && f.list == &m.inactive && !f.dirty && (first == nil || f.seq < first.seq) {
-			first = f
+	var first int32
+	for _, r := range fs.folios {
+		if r == 0 {
+			continue
+		}
+		if f := m.at(r); f.list == listInactive && !f.dirty && (first == 0 || f.seq < m.at(first).seq) {
+			first = r
 		}
 	}
 	return first
