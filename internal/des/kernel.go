@@ -4,28 +4,31 @@
 //
 // # The token model
 //
-// Exactly one goroutine runs at any instant: the one holding the scheduling
-// token. The event loop runs on whichever goroutine holds it — the RunUntil
-// caller, or the process that just parked (Sleep, Future.Get, Signal.Wait,
-// ...) or terminated. Events fire in (time, sequence) order and sequence
-// numbers are allocated deterministically, so which goroutine runs the loop
+// Each process is an iter.Pull coroutine, and exactly one coroutine runs at
+// any instant: the one holding the scheduling token, which is either the
+// RunUntil caller or a process. The event loop runs on whichever of them
+// holds it — the RunUntil caller, or the process that just parked (Sleep,
+// Future.Get, Signal.Wait, ...). Events fire in (time, sequence) order and
+// sequence numbers are allocated deterministically, so where the loop runs
 // never shows in a run's results.
 //
 // A callback resumes a process by scheduling a wake-up; the wake-up records
 // the handoff and the loop performs it once the callback returns. Resuming
-// the process whose goroutine runs the loop (a lone Sleep, say) costs no
-// channel operation; resuming any other process costs one send. When the
-// queue drains or the horizon is reached on a process goroutine, the token
-// goes back to the RunUntil caller over one kernel channel.
+// the process that runs the loop (a lone Sleep, say) costs no switch at all:
+// its park simply returns. Resuming any other process yields the parked
+// process back to the RunUntil caller, which resumes the next one. A process
+// that terminates, and a loop that drains or reaches the horizon on a
+// process, likewise yield back to the caller.
 //
 // The callback contract: a callback resumes at most one process, and does
 // so as its last action (the wake-ups this package schedules all do).
 //
-// A panic on a process goroutine — in a process body, or in a callback that
-// runs while that process holds the token — is recovered there and
-// re-raised with its original value on the RunUntil caller, so it can be
-// recovered like a panic in a callback run by the caller itself. The
-// kernel is unusable afterwards.
+// A panic in a process body, or in a callback that runs while that process
+// holds the token, is re-raised by iter.Pull on the RunUntil caller with its
+// original value, so it can be recovered like a panic in a callback run by
+// the caller itself. A process body that calls runtime.Goexit (t.FailNow,
+// say) ends the RunUntil caller's goroutine the same way. The kernel is
+// unusable afterwards.
 //
 // # Complexity of the event core
 //
@@ -40,8 +43,9 @@
 //	                            instead of rotting until their deadline)
 //	Timer.Cancel, fired/stale   O(1) no-op (generation check)
 //	event dispatch              O(log n) pop, O(1) for same-time events
-//	process resume              0 channel handoffs (the process running the
-//	                            loop) or 1 (any other process); no allocation
+//	process resume              0 switches (the process running the loop)
+//	                            or 2 coroutine switches (any other process),
+//	                            no channel, no scheduler; no allocation
 //	park, spawn, terminate      O(1) — no per-park bookkeeping
 //
 // event structs are recycled through a free list, so steady-state
@@ -149,24 +153,20 @@ type Kernel struct {
 	fastq    []*event
 	fastHead int
 	free     []*event
-	horizon  float64 // RunUntil's bound, read by whichever goroutine runs the loop
+	horizon  float64 // RunUntil's bound, read by whichever coroutine runs the loop
 	// handoff is the process the running callback resumed; the loop hands it
-	// the token once the callback returns.
+	// the token once the callback returns. A process that yields to the
+	// RunUntil caller leaves the next process to resume here (nil when the
+	// run stopped).
 	handoff *Proc
-	// caller is where the RunUntil caller waits while a process goroutine
-	// holds the token. It receives nil when the loop stops there, or the
-	// value of a panic recovered on that goroutine.
-	caller chan any
 	// first and last bound the list of live processes, in spawn order.
 	first, last *Proc
-	handoffs    int // channel handoffs of the token (for work-count tests)
+	resumes     int // coroutine resumes by the RunUntil caller (for work-count tests)
 	running     bool
 }
 
 // NewKernel returns an empty simulation at time zero.
-func NewKernel() *Kernel {
-	return &Kernel{caller: make(chan any)}
-}
+func NewKernel() *Kernel { return &Kernel{} }
 
 // Now returns the current virtual time in seconds.
 func (k *Kernel) Now() float64 { return k.now }
@@ -263,8 +263,9 @@ func (k *Kernel) Run() error { return k.RunUntil(-1) }
 
 // RunUntil executes events with time ≤ horizon (horizon < 0 means no bound).
 // Events beyond the horizon remain queued; the clock advances to the horizon
-// if it was reached. A panic raised on a process goroutine during the run is
-// re-raised here with its original value.
+// if it was reached; processes parked then stay parked, and a later RunUntil
+// resumes them. A panic raised in a process during the run is re-raised here
+// with its original value.
 func (k *Kernel) RunUntil(horizon float64) error {
 	if k.running {
 		return fmt.Errorf("des: Run called re-entrantly")
@@ -272,7 +273,10 @@ func (k *Kernel) RunUntil(horizon float64) error {
 	k.running = true
 	defer func() { k.running = false }()
 	k.horizon = horizon
-	k.dispatch(nil)
+	for p := k.dispatch(); p != nil; p = k.dispatch() {
+		k.resumes++
+		p.resume()
+	}
 	if k.QueueLen() == 0 && k.first != nil {
 		// Drained with live processes: every one of them is parked.
 		return &ErrDeadlock{Blocked: k.liveNames()}
@@ -325,47 +329,22 @@ func (k *Kernel) next() *event {
 	}
 }
 
-// dispatch runs the event loop on the goroutine holding the token; self is
-// that goroutine's process, or nil for the RunUntil caller. For the caller
-// it returns when the run stops. For a parked self it returns once an event
-// resumes self: at once if the loop is still on self's goroutine, otherwise
-// when the token comes back over self.resume. For a terminated self it
-// returns as soon as the token has been handed on.
-func (k *Kernel) dispatch(self *Proc) {
-	for {
+// dispatch fires events until one resumes a process, which it returns, or
+// until the run stops (nil). A handoff left by a yielding process is
+// returned at once.
+func (k *Kernel) dispatch() *Proc {
+	for k.handoff == nil {
 		e := k.next()
 		if e == nil {
-			if self == nil {
-				return
-			}
-			k.handoffs++
-			k.caller <- nil
-			break
+			return nil
 		}
 		fn := e.fn
 		k.release(e)
 		fn()
-		p := k.handoff
-		if p == nil {
-			continue
-		}
-		k.handoff = nil
-		if p == self {
-			return
-		}
-		k.handoffs++
-		p.resume <- struct{}{}
-		if self == nil {
-			if r := <-k.caller; r != nil {
-				panic(r)
-			}
-			return
-		}
-		break
 	}
-	if !self.terminated {
-		<-self.resume
-	}
+	p := k.handoff
+	k.handoff = nil
+	return p
 }
 
 // QueueLen reports the number of queued events (heap plus same-time FIFO),

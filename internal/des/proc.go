@@ -1,19 +1,27 @@
+//go:build go1.23
+
 package des
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
-// Proc is a simulated process: a goroutine that runs cooperatively under the
-// kernel. Only the goroutine holding the token executes; every blocking call
-// parks the process and runs the event loop on its goroutine until some
-// event resumes it (see the package comment).
+// Proc is a simulated process: an iter.Pull coroutine that runs
+// cooperatively under the kernel. Only the coroutine holding the token
+// executes; every blocking call parks the process and runs the event loop
+// in place until some event resumes a process: p itself, and the call
+// returns, or another one, and p yields to the RunUntil caller (see the
+// package comment).
 //
-// A Proc must only be used from its own goroutine (the function passed to
+// A Proc must only be used from its own coroutine (the function passed to
 // Spawn). Kernel callbacks must never call parking methods.
 type Proc struct {
 	k          *Kernel
 	name       string
-	resume     chan struct{}
-	wake       func() // bound once at Spawn; schedule it to resume the process
+	resume     func() (struct{}, bool) // run p until it parks or ends; RunUntil's loop only
+	yield      func(struct{}) bool     // hand the token back to the RunUntil caller
+	wake       func()                  // bound once at Spawn; schedule it to resume the process
 	terminated bool
 	done       *Future[struct{}]
 	prev, next *Proc // neighbours in the kernel's live list
@@ -23,7 +31,12 @@ type Proc struct {
 // virtual time. It returns immediately; the process runs once the kernel
 // reaches its start event.
 func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{k: k, name: name, resume: make(chan struct{})}
+	p := &Proc{k: k, name: name}
+	p.resume, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		fn(p)
+		k.exit(p)
+	})
 	p.wake = func() { k.switchTo(p) }
 	p.done = NewFuture[struct{}](k)
 	p.prev = k.last
@@ -33,28 +46,14 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 		k.first = p
 	}
 	k.last = p
-	go func() {
-		<-p.resume // wait for the start event to hand us the token
-		defer k.exit(p)
-		fn(p)
-	}()
 	k.At(k.now, p.wake)
 	return p
 }
 
-// exit ends p's goroutine. A panic is forwarded to the RunUntil caller;
-// a normal return (or runtime.Goexit) terminates p, resolves its Done
-// future and runs the loop until the token has been handed on.
+// exit terminates p after its body returns: it leaves the live list and
+// resolves its Done future. The coroutine then ends, which hands the token
+// back to the RunUntil caller.
 func (k *Kernel) exit(p *Proc) {
-	if r := recover(); r != nil {
-		k.caller <- r
-		return
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			k.caller <- r
-		}
-	}()
 	p.terminated = true
 	if p.prev != nil {
 		p.prev.next = p.next
@@ -67,7 +66,6 @@ func (k *Kernel) exit(p *Proc) {
 		k.last = p.prev
 	}
 	p.done.Set(struct{}{})
-	k.dispatch(p)
 }
 
 // switchTo records that the running callback resumes p; the loop hands p
@@ -80,10 +78,17 @@ func (k *Kernel) switchTo(p *Proc) {
 	k.handoff = p
 }
 
-// park runs the event loop on p's goroutine until some event resumes p. A
-// wakeup must already be registered, otherwise the kernel will report a
-// deadlock when the queue drains.
-func (p *Proc) park() { p.k.dispatch(p) }
+// park runs the event loop in place until some event resumes a process. If
+// that is p itself, park returns at once; otherwise p yields to the
+// RunUntil caller, leaving it the process to resume, and park returns when
+// the caller resumes p again. A wakeup must already be registered,
+// otherwise the kernel will report a deadlock when the queue drains.
+func (p *Proc) park() {
+	if q := p.k.dispatch(); q != p {
+		p.k.handoff = q
+		p.yield(struct{}{})
+	}
+}
 
 // Name returns the process name (used in diagnostics).
 func (p *Proc) Name() string { return p.name }

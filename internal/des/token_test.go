@@ -3,6 +3,7 @@ package des
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -102,34 +103,34 @@ func TestPanicInCallbackAfterTermination(t *testing.T) {
 }
 
 // TestLoneSleeperNoHandoffs: a process resumed by its own wake-ups keeps
-// the token; only its start and the final return to Run's caller cross
-// goroutines. The handoff count does not grow with the number of sleeps.
+// the token, so its park returns without a coroutine switch; only its start
+// is a resume by Run's caller. The resume count does not grow with the
+// number of sleeps.
 func TestLoneSleeperNoHandoffs(t *testing.T) {
 	const n = 1000
 	k := NewKernel()
 	var atStart, atEnd int
 	k.Spawn("sleeper", func(p *Proc) {
-		atStart = k.handoffs
+		atStart = k.resumes
 		for i := 0; i < n; i++ {
 			p.Sleep(1)
 		}
-		atEnd = k.handoffs
+		atEnd = k.resumes
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if atEnd != atStart {
-		t.Fatalf("%d sleeps made %d handoffs, want 0", n, atEnd-atStart)
+		t.Fatalf("%d sleeps made %d resumes, want 0", n, atEnd-atStart)
 	}
-	if k.handoffs != 2 {
-		t.Fatalf("run made %d handoffs, want 2 (start, return to Run)", k.handoffs)
+	if k.resumes != 1 {
+		t.Fatalf("run made %d resumes, want 1 (the start)", k.resumes)
 	}
 }
 
 // TestPingPongHandoffs: two processes whose wake-ups alternate pass the
-// token on every resume. Direct handoff pays one channel send per resume
-// plus the final return to Run's caller; routing every resume through the
-// kernel goroutine costs two (2N).
+// token on every resume. Each wake-up costs at most one resume by Run's
+// caller (the parked process yields, the caller resumes the other one).
 func TestPingPongHandoffs(t *testing.T) {
 	const n = 1000 // resumes: two starts, then n-2 alternating wake-ups
 	k := NewKernel()
@@ -159,7 +160,80 @@ func TestPingPongHandoffs(t *testing.T) {
 			t.Fatalf("wake-ups %d and %d both resumed %s", i-1, i, order[i])
 		}
 	}
-	if k.handoffs > n+2 {
-		t.Fatalf("%d resumes made %d handoffs, want <= %d", n, k.handoffs, n+2)
+	if k.resumes > n {
+		t.Fatalf("%d resumes made %d coroutine resumes, want <= %d", n, k.resumes, n)
+	}
+}
+
+// TestRunUntilHorizonKeepsProcessesParked: a horizon reached while a
+// process runs the loop leaves every process parked, and the next RunUntil
+// resumes each where it stopped.
+func TestRunUntilHorizonKeepsProcessesParked(t *testing.T) {
+	k := NewKernel()
+	var log []string
+	for _, name := range []string{"a", "b"} {
+		k.Spawn(name, func(p *Proc) {
+			for i := 0; i < 3; i++ {
+				p.Sleep(1)
+				log = append(log, fmt.Sprintf("%s@%g", name, p.Now()))
+			}
+		})
+	}
+	if err := k.RunUntil(1.5); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"a@1", "b@1"}; !reflect.DeepEqual(log, want) || k.Now() != 1.5 {
+		t.Fatalf("at the horizon: log = %v, now = %v; want %v, 1.5", log, k.Now(), want)
+	}
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"a@1", "b@1", "a@2", "b@2", "a@3", "b@3"}
+	if !reflect.DeepEqual(log, want) {
+		t.Fatalf("log = %v, want %v", log, want)
+	}
+}
+
+// TestGoexitInProcessEndsRunCaller: a process body that calls
+// runtime.Goexit (as t.FailNow does) does not quietly end that process; it
+// ends the goroutine running the simulation, whose deferred calls run, and
+// Run never returns.
+func TestGoexitInProcessEndsRunCaller(t *testing.T) {
+	k := NewKernel()
+	k.Spawn("bystander", func(p *Proc) { p.Sleep(10) })
+	quitter := k.Spawn("quitter", func(p *Proc) {
+		p.Sleep(1)
+		runtime.Goexit()
+	})
+	returned := false
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = k.Run()
+		returned = true
+	}()
+	<-done
+	if returned {
+		t.Fatal("Run returned after a process called runtime.Goexit")
+	}
+	if quitter.Done().IsSet() {
+		t.Fatal("the process that called runtime.Goexit terminated normally")
+	}
+}
+
+// TestSpawnAllocs pins the allocations of spawning one trivial process and
+// running it to completion on a warm kernel: the Proc, its wake-up closure,
+// its Done future and its coroutine, of which iter.Pull's share is 8.
+func TestSpawnAllocs(t *testing.T) {
+	const want = 15
+	k := NewKernel()
+	allocs := testing.AllocsPerRun(100, func() {
+		k.Spawn("p", func(p *Proc) {})
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > want {
+		t.Fatalf("spawn and run of one process: %v allocs, want <= %d", allocs, want)
 	}
 }

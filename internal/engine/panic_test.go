@@ -13,7 +13,8 @@ type panicCellArgs struct {
 
 func init() {
 	// One application reads f1 (parking on the substrate, so the rest of its
-	// body runs on its own process goroutine) and then, if asked, panics.
+	// body runs after its process coroutine is resumed) and then, if asked,
+	// panics.
 	grid.RegisterCell("engine-test-app", func(a panicCellArgs) (any, error) {
 		r, err := buildRig(ModeWriteback)
 		if err != nil {
