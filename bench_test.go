@@ -17,6 +17,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/exp"
 	"repro/internal/fluid"
+	"repro/internal/grid"
 	"repro/internal/platform"
 	"repro/internal/units"
 	"repro/internal/workload"
@@ -72,13 +73,35 @@ func BenchmarkTable3_Bandwidths(b *testing.B) {
 	}
 }
 
+// runCells runs a section's cells on the in-process pool, as
+// cmd/experiments does, and returns their payloads in coordinate order for
+// the section's MergeX. A failed cell fails b.
+func runCells(b *testing.B, specs []grid.Spec) []grid.Payload {
+	b.Helper()
+	var ps []grid.Payload
+	failed := ""
+	if _, err := grid.Run(specs, grid.Options{}, func(r grid.Result) {
+		if r.Err != "" && failed == "" {
+			failed = fmt.Sprintf("%s (%s): %s", r.Coord, r.Kind, r.Err)
+		}
+		ps = append(ps, grid.Payload{Coord: r.Coord, Raw: r.Payload})
+	}); err != nil {
+		b.Fatal(err)
+	}
+	if failed != "" {
+		b.Fatal(failed)
+	}
+	grid.SortPayloads(ps)
+	return ps
+}
+
 // ---------------------------------------------------------------------------
 // Fig 4 (Exp 1)
 
 func benchExp1(b *testing.B, size int64) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := exp.RunExp1(size)
+		res, err := exp.MergeExp1(size, runCells(b, exp.Exp1Cells("exp1", size)))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -94,7 +117,7 @@ func BenchmarkFig4a_Exp1Errors100GB(b *testing.B) { benchExp1(b, 100*units.GB) }
 
 func BenchmarkFig4b_MemoryProfiles(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := exp.RunExp1(20 * units.GB)
+		res, err := exp.MergeExp1(20*units.GB, runCells(b, exp.Exp1Cells("exp1", 20*units.GB)))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -108,7 +131,7 @@ func BenchmarkFig4b_MemoryProfiles(b *testing.B) {
 
 func BenchmarkFig4c_CacheContents(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := exp.RunExp1(20 * units.GB)
+		res, err := exp.MergeExp1(20*units.GB, runCells(b, exp.Exp1Cells("exp1", 20*units.GB)))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -124,8 +147,10 @@ func BenchmarkFig4c_CacheContents(b *testing.B) {
 // Fig 5 (Exp 2), Fig 6 (Exp 4), Fig 7 (Exp 3)
 
 func BenchmarkFig5_Exp2Concurrent(b *testing.B) {
+	levels := []int{1, 8, 32}
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.RunExp2([]int{1, 8, 32}, 2); err != nil {
+		ps := runCells(b, exp.ConcurrentCells("exp2", false, 3*units.GB, levels, 2))
+		if _, err := exp.MergeConcurrent(false, levels, 2, ps); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -133,7 +158,7 @@ func BenchmarkFig5_Exp2Concurrent(b *testing.B) {
 
 func BenchmarkFig6_Exp4Nighres(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := exp.RunExp4()
+		res, err := exp.MergeExp4(runCells(b, exp.Exp4Cells("exp4")))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -145,8 +170,10 @@ func BenchmarkFig6_Exp4Nighres(b *testing.B) {
 }
 
 func BenchmarkFig7_Exp3NFS(b *testing.B) {
+	levels := []int{1, 8, 32}
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.RunExp3([]int{1, 8, 32}, 2); err != nil {
+		ps := runCells(b, exp.ConcurrentCells("exp3", true, 3*units.GB, levels, 2))
+		if _, err := exp.MergeConcurrent(true, levels, 2, ps); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -177,7 +204,7 @@ func BenchmarkFig8_CacheNFS32(b *testing.B)    { benchSimTime(b, engine.ModeWrit
 
 func BenchmarkAblation_DesignChoices(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := exp.RunAblations(20 * units.GB)
+		res, err := exp.MergeAblation(20*units.GB, runCells(b, exp.AblationCells("ablations", 20*units.GB)))
 		if err != nil {
 			b.Fatal(err)
 		}

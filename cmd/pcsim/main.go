@@ -1,7 +1,11 @@
 // Command pcsim runs one page-cache simulation with user-chosen parameters
 // — a quick way to explore cache behaviour outside the paper's fixed
-// experiment grid. It runs either the built-in synthetic pipeline or a
-// JSON workflow on a flag-built or JSON-described platform.
+// experiment grid. Every run goes through scenario.Run: -scenario runs a
+// scenario document as written, and the other modes compile their flags
+// into one. Without -platform, the flags describe a one-host platform (host
+// node0, disk node0.disk, partition scratch) running the built-in synthetic
+// pipeline; -platform runs it on the first host and partition of a JSON
+// platform instead, and -workflow replaces it with a JSON workflow.
 //
 // Examples:
 //
@@ -31,10 +35,13 @@
 // consecutive iterations produce matching phase signatures the engine skips
 // the rest analytically (disable with -ffwd=false; tune with -ffwd-k and
 // -ffwd-tol). -ffwd-oracle runs both paths and reports the makespan and
-// hit-ratio error, failing above 1% makespan error. -snapshot-out saves the
-// final cache state (and the backing-file list) as versioned JSON;
-// -snapshot-in restores one before the run, rebasing block timestamps to the
-// new run's t=0 — scenario documents get the same via their "warmup" stanza.
+// hit-ratio error, failing above 1% makespan error.
+//
+// -snapshot-out saves the final cache state (and the backing-file list) as
+// versioned JSON, in every mode. -snapshot-in warm-starts the run from such
+// a file exactly as a scenario's "warmup": {"snapshotFile": ...} stanza
+// does: block timestamps are rebased to the new run's t=0 and the cache
+// counters start from zero, so the read hit ratio counts this run only.
 //
 //	pcsim -iterations 60 -size 1GB -ram 8GiB -ffwd-oracle
 //	pcsim -iterations 500 -size 1GB -ram 8GiB
@@ -51,21 +58,28 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"strconv"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/phase"
 	"repro/internal/platform"
 	"repro/internal/prof"
+	"repro/internal/scenario"
 	"repro/internal/textplot"
 	"repro/internal/units"
-	"repro/internal/workload"
 )
 
 func main() {
 	os.Exit(Main(os.Args[1:], os.Stdout))
 }
+
+// oracleMaxErrPct is the makespan error (percent) above which -ffwd-oracle
+// fails the run.
+const oracleMaxErrPct = 1.0
 
 // Main runs the pcsim CLI and returns a process exit code.
 func Main(args []string, stdout io.Writer) (code int) {
@@ -77,7 +91,6 @@ func Main(args []string, stdout io.Writer) (code int) {
 		ramStr     = fs.String("ram", "250GiB", "host RAM")
 		chunkStr   = fs.String("chunk", "100MB", "I/O chunk size")
 		dirtyRatio = fs.Float64("dirty-ratio", 0.20, "vm.dirty_ratio as a fraction")
-		expire     = fs.Float64("dirty-expire", 30, "dirty expiry seconds")
 		policyStr  = fs.String("policy", "", "cache replacement policy (default: lru; also clock, fifo, lfu)")
 		wbStr      = fs.String("writeback", "", "writeback policy (default: list-order; also oldest-first, file-rr, proportional)")
 		dirtyBG    = fs.Float64("dirty-background", 0, "vm.dirty_background_ratio as a fraction (0 disables background writeback)")
@@ -87,7 +100,7 @@ func Main(args []string, stdout io.Writer) (code int) {
 		csvPath    = fs.String("csv", "", "write the memory profile CSV here")
 		platPath   = fs.String("platform", "", "platform description JSON (overrides -ram/-mem-bw/-disk-bw)")
 		wfPath     = fs.String("workflow", "", "workflow description JSON (runs instead of the synthetic pipeline; requires -platform)")
-		scenPath   = fs.String("scenario", "", "scenario description JSON (platform + workloads + chaos + assertions; ignores the other flags)")
+		scenPath   = fs.String("scenario", "", "scenario description JSON (platform + workloads + chaos + assertions; ignores the other flags but -chaos-seed and -snapshot-out)")
 		chaosSeed  = fs.Int64("chaos-seed", 0, "override the scenario's chaos seed (with -scenario)")
 		iterations = fs.Int("iterations", 0, "run the repeated-iteration pipeline with this many iterations instead of the synthetic pipeline")
 		ffwdOn     = fs.Bool("ffwd", true, "fast-forward steady-state iterations analytically (with -iterations)")
@@ -95,7 +108,7 @@ func Main(args []string, stdout io.Writer) (code int) {
 		ffwdK      = fs.Int("ffwd-k", phase.DefaultK, "consecutive matching iterations before steady state is declared")
 		ffwdTol    = fs.Float64("ffwd-tol", phase.DefaultTol, "relative tolerance on the continuous phase-signature components")
 		snapOut    = fs.String("snapshot-out", "", "write the final cache state to this snapshot file")
-		snapIn     = fs.String("snapshot-in", "", "restore cache state from this snapshot file before the run")
+		snapIn     = fs.String("snapshot-in", "", "warm-start the cache from this snapshot file")
 		cpuProf    = fs.String("cpuprofile", "", "write a CPU profile (runtime/pprof) to FILE")
 		memProf    = fs.String("memprofile", "", "write a heap profile (runtime/pprof) to FILE at exit")
 	)
@@ -104,143 +117,287 @@ func Main(args []string, stdout io.Writer) (code int) {
 	}
 	stopProf, err := prof.Start(*cpuProf, *memProf)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "pcsim: %v\n", err)
-		return 2
+		return fail(2, err)
 	}
 	defer func() {
 		if err := stopProf(); err != nil {
-			fmt.Fprintf(os.Stderr, "pcsim: %v\n", err)
+			fail(1, err)
 			if code == 0 {
 				code = 1
 			}
 		}
 	}()
-	seedSet := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "chaos-seed" {
-			seedSet = true
-		}
-	})
+
 	if *scenPath != "" {
-		return runScenario(*scenPath, *chaosSeed, seedSet, stdout)
+		seedSet := false
+		fs.Visit(func(f *flag.Flag) { seedSet = seedSet || f.Name == "chaos-seed" })
+		doc, err := scenario.Load(*scenPath)
+		if err != nil {
+			return fail(2, err)
+		}
+		res, err := scenario.Run(doc, scenario.RunOpts{ChaosSeed: *chaosSeed, OverrideSeed: seedSet})
+		if err != nil {
+			return fail(2, err)
+		}
+		res.Report(stdout)
+		if code := writeSnapshot(res, *snapOut, stdout); code != 0 {
+			return code
+		}
+		if !res.Passed {
+			fmt.Fprintln(os.Stderr, "pcsim: scenario assertions failed")
+			return 1
+		}
+		return 0
 	}
+
+	// Validate the flags, then compile them into a one-workload document.
 	if err := core.ValidatePolicyName(*policyStr); err != nil {
 		// Fail fast at configuration time, listing the registered policies.
-		fmt.Fprintf(os.Stderr, "pcsim: %v\n", err)
-		return 2
+		return fail(2, err)
 	}
 	if err := core.ValidateWritebackPolicyName(*wbStr); err != nil {
-		fmt.Fprintf(os.Stderr, "pcsim: %v\n", err)
-		return 2
+		return fail(2, err)
 	}
+	wl := scenario.WorkloadDoc{
+		Name: "app", Host: "node0", Kind: "synthetic", Partition: "scratch",
+		Size: *sizeStr,
+	}
+	if *cpuSec >= 0 {
+		wl.CPUS = cpuSec
+	}
+	doc := &scenario.Doc{Name: "pcsim", Mode: *modeStr, Chunk: *chunkStr}
+	var opts scenario.RunOpts
+	var size, ram int64
 	if *wfPath != "" || *platPath != "" {
-		return runFromFiles(*platPath, *wfPath, *modeStr, *chunkStr, *sizeStr, *cpuSec, *policyStr, *wbStr, *dirtyBG, stdout)
-	}
-	size, err := units.ParseBytes(*sizeStr)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pcsim: %v\n", err)
-		return 2
-	}
-	ram, err := units.ParseBytes(*ramStr)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pcsim: %v\n", err)
-		return 2
-	}
-	chunk, err := units.ParseBytes(*chunkStr)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pcsim: %v\n", err)
-		return 2
-	}
-	var mode engine.Mode
-	switch *modeStr {
-	case "cacheless":
-		mode = engine.ModeCacheless
-	case "writeback":
-		mode = engine.ModeWriteback
-	case "writethrough":
-		mode = engine.ModeWritethrough
-	case "directio":
-		mode = engine.ModeDirectIO
-	default:
-		fmt.Fprintf(os.Stderr, "pcsim: unknown mode %q\n", *modeStr)
-		return 2
-	}
-	cpu := *cpuSec
-	if cpu < 0 {
-		cpu = workload.SyntheticCPU(size)
-	}
-
-	sim := engine.NewSimulation()
-	memSpec := platform.DeviceSpec{Name: "node0.mem", ReadBW: units.MBps(*memBW), WriteBW: units.MBps(*memBW)}
-	host := platform.HostSpec{Name: "node0", Cores: 32, FlopRate: 1e9, MemoryCap: ram, Memory: memSpec}
-	cfg := core.Config{
-		TotalMem: ram, DirtyRatio: *dirtyRatio, DirtyBackgroundRatio: *dirtyBG,
-		DirtyExpire: *expire, FlushInterval: 5, Policy: *policyStr, Writeback: *wbStr,
-	}
-	if err := cfg.Validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "pcsim: %v\n", err)
-		return 2
-	}
-	if *ffwdOracle && *iterations <= 0 {
-		fmt.Fprintln(os.Stderr, "pcsim: -ffwd-oracle requires -iterations")
-		return 2
-	}
-	if *iterations > 0 {
-		return runIterative(iterConfig{
-			iterations: *iterations, size: size, cpu: cpu,
-			ram: ram, chunk: chunk, mode: mode, cache: cfg,
-			memBW: *memBW, diskBW: *diskBW,
-			k: *ffwdK, tol: *ffwdTol,
-			snapIn: *snapIn, snapOut: *snapOut,
-		}, *ffwdOn, *ffwdOracle, stdout)
-	}
-	hr, err := sim.AddHost(host, mode, cfg, chunk)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pcsim: %v\n", err)
-		return 1
-	}
-	part, err := hr.AddDisk(platform.DeviceSpec{
-		Name: "node0.disk", ReadBW: units.MBps(*diskBW), WriteBW: units.MBps(*diskBW),
-	}, "scratch", 100*size*int64(*instances)+units.GiB)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pcsim: %v\n", err)
-		return 1
-	}
-	hr.EnableMemTrace(1)
-	if *snapIn != "" {
-		if err := restoreHostSnapshot(*snapIn, sim, hr, part); err != nil {
-			fmt.Fprintf(os.Stderr, "pcsim: %v\n", err)
-			return 1
+		if *platPath == "" {
+			return fail(2, fmt.Errorf("-workflow requires -platform"))
 		}
-	}
-	for i := 0; i < *instances; i++ {
-		files := workload.SyntheticFiles(i)
-		if _, ok := part.Lookup(files[0]); !ok {
-			if _, err := part.CreateSized(files[0], size); err != nil {
-				fmt.Fprintf(os.Stderr, "pcsim: %v\n", err)
-				return 1
+		if doc.Platform, err = loadPlatform(*platPath, *policyStr, *wbStr, *dirtyBG); err != nil {
+			return fail(1, err)
+		}
+		// Workload placement: the first configured host and its first
+		// partition.
+		first := doc.Platform.Hosts[0]
+		if len(first.Disks) == 0 {
+			return fail(2, fmt.Errorf("first platform host has no disk to place the workload on"))
+		}
+		wl.Host, wl.Partition = first.Name, first.Disks[0].Partition
+		if *wfPath != "" {
+			wl.Kind, wl.WorkflowFile = "workflow", *wfPath
+		}
+	} else {
+		if size, err = units.ParseBytes(*sizeStr); err != nil {
+			return fail(2, err)
+		}
+		if ram, err = units.ParseBytes(*ramStr); err != nil {
+			return fail(2, err)
+		}
+		if *instances < 1 {
+			return fail(2, fmt.Errorf("-instances must be positive"))
+		}
+		cfg := core.DefaultConfig(ram)
+		cfg.DirtyRatio, cfg.DirtyBackgroundRatio = *dirtyRatio, *dirtyBG
+		cfg.Policy, cfg.Writeback = *policyStr, *wbStr
+		if err := cfg.Validate(); err != nil {
+			return fail(2, err)
+		}
+		if *ffwdOracle && *iterations <= 0 {
+			return fail(2, fmt.Errorf("-ffwd-oracle requires -iterations"))
+		}
+		doc.DirtyRatio = *dirtyRatio
+		capacity := 100*size*int64(*instances) + units.GiB
+		if *iterations > 0 {
+			wl.Name, wl.Kind, wl.Iterations = "iter", "iterative", *iterations
+			capacity = 4*size + units.GiB
+			if *ffwdOn {
+				opts.FastForward = &engine.FFwdConfig{Phase: phase.Config{K: *ffwdK, Tol: *ffwdTol}}
 			}
+		} else {
+			wl.Instances = *instances
+			doc.TraceMemS = 1
 		}
-		if err := sim.NS.Place(files[0], part); err != nil {
-			fmt.Fprintf(os.Stderr, "pcsim: %v\n", err)
-			return 1
-		}
+		doc.Platform = &platform.Config{Hosts: []platform.HostConfig{{
+			Name: "node0", Cores: 32, GFlops: 1, RAM: *ramStr,
+			MemReadMBps: *memBW, MemWriteMBps: *memBW,
+			CachePolicy: *policyStr, WritebackPolicy: *wbStr, DirtyBackgroundRatio: *dirtyBG,
+			Disks: []platform.DiskConfig{{
+				Name: "node0.disk", ReadMBps: *diskBW, WriteMBps: *diskBW,
+				Capacity: strconv.FormatInt(capacity, 10), Partition: "scratch",
+			}},
+		}}}
 	}
-	for i := 0; i < *instances; i++ {
-		files := workload.SyntheticFiles(i)
-		sim.SpawnApp(hr, i, fmt.Sprintf("app%d", i), func(a *engine.App) error {
-			return workload.RunSynthetic(&workload.EngineRunner{App: a, Part: part}, workload.SyntheticSpec{
-				Size: size, CPU: cpu, Files: files,
-			})
-		})
+	doc.Workloads = []scenario.WorkloadDoc{wl}
+	if *snapIn != "" {
+		doc.Warmup = &scenario.WarmupDoc{SnapshotFile: *snapIn}
 	}
-	if err := sim.Run(); err != nil {
-		fmt.Fprintf(os.Stderr, "pcsim: %v\n", err)
-		return 1
+	if err := doc.Validate(); err != nil {
+		return fail(2, err)
 	}
 
-	fmt.Fprintf(stdout, "pcsim: %d instance(s), %s files, mode=%s, RAM=%s\n",
-		*instances, units.FormatBytes(size), mode, units.FormatBytes(ram))
+	if *ffwdOracle && wl.Kind == "iterative" {
+		return runOracle(doc, phase.Config{K: *ffwdK, Tol: *ffwdTol}, size, stdout)
+	}
+	res, err := run(doc, opts)
+	if err != nil {
+		return fail(1, err)
+	}
+	host := res.Hosts[wl.Host]
+	switch {
+	case wl.Kind == "workflow":
+		rep := res.Workflows[wl.Name]
+		fmt.Fprintf(stdout, "pcsim: workflow %s on platform %s (host %s, mode %s)\n",
+			rep.Name, *platPath, wl.Host, host.Mode)
+		t := &textplot.Table{Header: []string{"task", "start (s)", "end (s)"}}
+		for _, tt := range rep.OrderedTimings() {
+			t.Add(tt.Name, fmt.Sprintf("%.2f", tt.Start), fmt.Sprintf("%.2f", tt.End))
+		}
+		t.Render(stdout)
+		fmt.Fprintf(stdout, "makespan: %s\n", units.FormatSeconds(rep.Makespan))
+	case *platPath != "":
+		fmt.Fprintf(stdout, "pcsim: synthetic pipeline on platform %s (host %s, mode %s)\n",
+			*platPath, wl.Host, host.Mode)
+		printOps(res.Sim, stdout)
+		fmt.Fprintf(stdout, "makespan: %s\n", units.FormatSeconds(res.Makespan))
+	case wl.Kind == "iterative":
+		fmt.Fprintf(stdout, "pcsim: iterative pipeline, %d iterations, %s per file, mode=%s, RAM=%s\n",
+			wl.Iterations, units.FormatBytes(size), host.Mode, units.FormatBytes(ram))
+		if rep := res.Sim.FFwdReport(); rep.Steady {
+			fmt.Fprintf(stdout, "fast-forward: simulated %d iterations, skipped %d analytically (steady at t=%.6gs, iteration period %.6gs)\n",
+				rep.IterationsSimulated, rep.IterationsSkipped, rep.SteadyAtSimS, rep.IterSimS)
+		} else if rep.Enabled {
+			fmt.Fprintln(stdout, "fast-forward: no steady state detected; every iteration simulated")
+		}
+		fmt.Fprintf(stdout, "makespan: %s   read hit ratio: %.4f\n",
+			units.FormatSeconds(res.Makespan), hitRatio(host))
+	default:
+		fmt.Fprintf(stdout, "pcsim: %d instance(s), %s files, mode=%s, RAM=%s\n",
+			wl.Instances, units.FormatBytes(size), host.Mode, units.FormatBytes(ram))
+		printOps(res.Sim, stdout)
+		fmt.Fprintf(stdout, "makespan: %s   read total: %.1fs   write total: %.1fs\n",
+			units.FormatSeconds(res.Makespan),
+			res.Sim.Log.Duration("read", -1), res.Sim.Log.Duration("write", -1))
+	}
+	if code := writeSnapshot(res, *snapOut, stdout); code != 0 {
+		return code
+	}
+	if *csvPath != "" && host.MemTrace != nil {
+		f, err := os.Create(*csvPath)
+		if err != nil {
+			return fail(1, err)
+		}
+		defer f.Close()
+		if err := host.MemTrace.WriteCSV(f); err != nil {
+			return fail(1, err)
+		}
+		fmt.Fprintf(stdout, "memory profile written to %s\n", *csvPath)
+	}
+	return 0
+}
+
+// fail reports err on stderr and returns the exit code.
+func fail(code int, err error) int {
+	fmt.Fprintf(os.Stderr, "pcsim: %v\n", err)
+	return code
+}
+
+// loadPlatform reads a platform description and applies the host-wide flag
+// overrides: a non-empty policy (writeback) replaces every host's
+// "cachePolicy" ("writebackPolicy"), and a positive dirtyBG every host's
+// "dirtyBackgroundRatio".
+func loadPlatform(path, policy, writeback string, dirtyBG float64) (*platform.Config, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	cfg, err := platform.LoadConfig(f)
+	if err != nil {
+		return nil, err
+	}
+	for i := range cfg.Hosts {
+		h := &cfg.Hosts[i]
+		if policy != "" {
+			h.CachePolicy = policy
+		}
+		if writeback != "" {
+			h.WritebackPolicy = writeback
+		}
+		if dirtyBG > 0 {
+			h.DirtyBackgroundRatio = dirtyBG
+		}
+	}
+	return cfg, nil
+}
+
+// run executes a compiled document; a failed workload fails the run.
+func run(doc *scenario.Doc, opts scenario.RunOpts) (*scenario.Result, error) {
+	res, err := scenario.Run(doc, opts)
+	if err != nil {
+		return nil, err
+	}
+	return res, res.FirstErr()
+}
+
+// runOracle runs the iterative document exactly and fast-forwarded, back to
+// back, and reports the makespan and hit-ratio error, failing when the
+// makespan error exceeds oracleMaxErrPct.
+func runOracle(doc *scenario.Doc, det phase.Config, size int64, stdout io.Writer) int {
+	t0 := time.Now()
+	ex, err := run(doc, scenario.RunOpts{})
+	if err != nil {
+		return fail(1, fmt.Errorf("exact run: %w", err))
+	}
+	exWall := time.Since(t0)
+	t1 := time.Now()
+	ff, err := run(doc, scenario.RunOpts{FastForward: &engine.FFwdConfig{Phase: det}})
+	if err != nil {
+		return fail(1, fmt.Errorf("fast-forward run: %w", err))
+	}
+	ffWall := time.Since(t1)
+
+	host := doc.Workloads[0].Host
+	exMk, ffMk := ex.Makespan, ff.Makespan
+	errPct := math.Abs(ffMk-exMk) / exMk * 100
+	exHit, ffHit := hitRatio(ex.Hosts[host]), hitRatio(ff.Hosts[host])
+	rep := ff.Sim.FFwdReport()
+
+	fmt.Fprintf(stdout, "ffwd oracle: %d iterations, %s per file, mode=%s\n",
+		doc.Workloads[0].Iterations, units.FormatBytes(size), ex.Hosts[host].Mode)
+	fmt.Fprintf(stdout, "  exact:        makespan %.6gs   hit ratio %.4f\n", exMk, exHit)
+	fmt.Fprintf(stdout, "  fast-forward: makespan %.6gs   hit ratio %.4f   (simulated %d, skipped %d)\n",
+		ffMk, ffHit, rep.IterationsSimulated, rep.IterationsSkipped)
+	fmt.Fprintf(stdout, "  makespan error: %.4f%%   hit-ratio error: %.4f\n", errPct, math.Abs(ffHit-exHit))
+	speedup := float64(exWall) / float64(ffWall)
+	fmt.Fprintf(stdout, "  wall-clock: exact %.3fs, fast-forward %.3fs (speedup %.1fx)\n",
+		exWall.Seconds(), ffWall.Seconds(), speedup)
+	if errPct > oracleMaxErrPct {
+		fmt.Fprintf(stdout, "oracle: FAIL (makespan error %.4f%% > %g%%)\n", errPct, oracleMaxErrPct)
+		return 1
+	}
+	if !rep.Steady {
+		fmt.Fprintln(stdout, "oracle: FAIL (no steady state detected)")
+		return 1
+	}
+	fmt.Fprintln(stdout, "oracle: PASS")
+	return 0
+}
+
+// writeSnapshot saves the run's final cache state to path (-snapshot-out;
+// a no-op without it).
+func writeSnapshot(res *scenario.Result, path string, stdout io.Writer) int {
+	if path == "" {
+		return 0
+	}
+	if err := res.WriteSnapshot(path); err != nil {
+		return fail(1, err)
+	}
+	fmt.Fprintf(stdout, "cache snapshot written to %s\n", path)
+	return 0
+}
+
+// printOps renders the op log as a per-op table of mean duration and total
+// bytes.
+func printOps(sim *engine.Simulation, stdout io.Writer) {
 	t := &textplot.Table{Header: []string{"op", "mean duration (s)", "total bytes"}}
 	for _, name := range sim.Log.Names() {
 		ops := sim.Log.ByName(name)
@@ -253,30 +410,13 @@ func Main(args []string, stdout io.Writer) (code int) {
 		t.Add(name, fmt.Sprintf("%.2f", d/float64(len(ops))), units.FormatBytes(bytes))
 	}
 	t.Render(stdout)
-	fmt.Fprintf(stdout, "makespan: %s   read total: %.1fs   write total: %.1fs\n",
-		units.FormatSeconds(sim.Makespan()),
-		sim.Log.Duration("read", -1), sim.Log.Duration("write", -1))
+}
 
-	if *snapOut != "" {
-		if err := writeHostSnapshot(*snapOut, sim, hr); err != nil {
-			fmt.Fprintf(os.Stderr, "pcsim: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "cache snapshot written to %s\n", *snapOut)
-	}
-
-	if *csvPath != "" {
-		f, err := os.Create(*csvPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pcsim: %v\n", err)
-			return 1
-		}
-		defer f.Close()
-		if err := hr.MemTrace.WriteCSV(f); err != nil {
-			fmt.Fprintf(os.Stderr, "pcsim: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "memory profile written to %s\n", *csvPath)
+// hitRatio computes the host cache's read hit ratio (0 when no reads ran).
+func hitRatio(hr *engine.HostRuntime) float64 {
+	st := hr.Model.Snapshot()
+	if tot := st.ReadHitBytes + st.ReadMissBytes; tot > 0 {
+		return float64(st.ReadHitBytes) / float64(tot)
 	}
 	return 0
 }

@@ -264,8 +264,9 @@ func (k *Kernel) Run() error { return k.RunUntil(-1) }
 // RunUntil executes events with time ≤ horizon (horizon < 0 means no bound).
 // Events beyond the horizon remain queued; the clock advances to the horizon
 // if it was reached; processes parked then stay parked, and a later RunUntil
-// resumes them. A panic raised in a process during the run is re-raised here
-// with its original value.
+// resumes them. A run that ends in ErrDeadlock unwinds every parked process
+// (their deferred calls run), so none of them can run again. A panic raised
+// in a process during the run is re-raised here with its original value.
 func (k *Kernel) RunUntil(horizon float64) error {
 	if k.running {
 		return fmt.Errorf("des: Run called re-entrantly")
@@ -278,8 +279,15 @@ func (k *Kernel) RunUntil(horizon float64) error {
 		p.resume()
 	}
 	if k.QueueLen() == 0 && k.first != nil {
-		// Drained with live processes: every one of them is parked.
-		return &ErrDeadlock{Blocked: k.liveNames()}
+		// Drained with live processes: every one of them is parked, and
+		// nothing can resume them. Stop their coroutines, so their
+		// goroutines and everything they reach (this kernel included) can
+		// be freed.
+		err := &ErrDeadlock{Blocked: k.liveNames()}
+		for p := k.first; p != nil; p = p.next {
+			p.stop()
+		}
+		return err
 	}
 	return nil
 }

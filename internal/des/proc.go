@@ -20,6 +20,7 @@ type Proc struct {
 	k          *Kernel
 	name       string
 	resume     func() (struct{}, bool) // run p until it parks or ends; RunUntil's loop only
+	stop       func()                  // unwind p's parked coroutine; deadlock path only
 	yield      func(struct{}) bool     // hand the token back to the RunUntil caller
 	wake       func()                  // bound once at Spawn; schedule it to resume the process
 	terminated bool
@@ -32,7 +33,8 @@ type Proc struct {
 // reaches its start event.
 func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{k: k, name: name}
-	p.resume, _ = iter.Pull(func(yield func(struct{}) bool) {
+	p.resume, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		defer recoverUnwind()
 		p.yield = yield
 		fn(p)
 		k.exit(p)
@@ -82,11 +84,29 @@ func (k *Kernel) switchTo(p *Proc) {
 // that is p itself, park returns at once; otherwise p yields to the
 // RunUntil caller, leaving it the process to resume, and park returns when
 // the caller resumes p again. A wakeup must already be registered,
-// otherwise the kernel will report a deadlock when the queue drains.
+// otherwise the kernel will report a deadlock when the queue drains. A
+// deadlocked kernel stops the coroutine instead of resuming it: yield then
+// reports false, and park unwinds the process body.
 func (p *Proc) park() {
 	if q := p.k.dispatch(); q != p {
 		p.k.handoff = q
-		p.yield(struct{}{})
+		if !p.yield(struct{}{}) {
+			panic(unwind{})
+		}
+	}
+}
+
+// unwind is the panic value that ends a stopped process's body.
+type unwind struct{}
+
+// recoverUnwind, deferred by each coroutine, lets an unwound body end its
+// coroutine quietly; any other panic keeps propagating to the RunUntil
+// caller.
+func recoverUnwind() {
+	if r := recover(); r != nil {
+		if _, ok := r.(unwind); !ok {
+			panic(r)
+		}
 	}
 }
 

@@ -237,3 +237,31 @@ func TestSpawnAllocs(t *testing.T) {
 		t.Fatalf("spawn and run of one process: %v allocs, want <= %d", allocs, want)
 	}
 }
+
+// TestDeadlockFreesCoroutines: a deadlocked run unwinds its parked
+// processes, so their coroutine goroutines (and the kernel they reach) do
+// not outlive the run. The deadlock report is unchanged.
+func TestDeadlockFreesCoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	unwound := 0
+	for i := 0; i < 100; i++ {
+		k := NewKernel()
+		s := NewSignal(k)
+		k.Spawn("stuck", func(p *Proc) {
+			defer func() { unwound++ }()
+			s.Wait(p)
+			t.Error("a deadlocked process resumed")
+		})
+		err := k.Run()
+		want := "des: deadlock: 1 process(es) parked with empty event queue: [stuck]"
+		if err == nil || err.Error() != want {
+			t.Fatalf("err = %v, want %q", err, want)
+		}
+	}
+	if unwound != 100 {
+		t.Fatalf("%d of 100 stuck processes ran their deferred calls", unwound)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("goroutines: %d before, %d after 100 deadlocked runs", before, after)
+	}
+}

@@ -118,17 +118,6 @@ func MergeAblation(size int64, ps []grid.Payload) (*AblationResult, error) {
 	return res, nil
 }
 
-// RunAblations quantifies the design choices listed in ablationVariants on the
-// Exp 1 workload at the given size. Cells fan out over the default
-// in-process pool.
-func RunAblations(size int64) (*AblationResult, error) {
-	ps, err := runGrid(AblationCells("ablations", size))
-	if err != nil {
-		return nil, fmt.Errorf("ablation: %w", err)
-	}
-	return MergeAblation(size, ps)
-}
-
 // runAblationCell executes the reference run or one named variant.
 func runAblationCell(a ablationArgs) (*ablationPayload, error) {
 	cpu := workload.SyntheticCPU(a.Size)

@@ -51,37 +51,6 @@ func SpecsOf(sections []Section) []grid.Spec {
 	return out
 }
 
-// runGridOpts executes specs on a pool and returns the payloads in
-// coordinate order; the first cell failure aborts with that cell's error
-// (the programmatic API keeps the old fail-fast contract, while
-// cmd/experiments' emitter degrades per section instead).
-func runGridOpts(specs []grid.Spec, opts grid.Options) ([]grid.Payload, error) {
-	var failed error
-	var ps []grid.Payload
-	if _, err := grid.Run(specs, opts, func(r grid.Result) {
-		if r.Err != "" {
-			if failed == nil {
-				failed = fmt.Errorf("%s (%s): %s", r.Coord, r.Kind, r.Err)
-			}
-			return
-		}
-		ps = append(ps, grid.Payload{Coord: r.Coord, Raw: r.Payload})
-	}); err != nil {
-		return nil, err
-	}
-	if failed != nil {
-		return nil, failed
-	}
-	grid.SortPayloads(ps)
-	return ps, nil
-}
-
-// runGrid is runGridOpts on the default in-process pool (GOMAXPROCS
-// workers). The merge discipline makes the result identical for any pool.
-func runGrid(specs []grid.Spec) ([]grid.Payload, error) {
-	return runGridOpts(specs, grid.Options{})
-}
-
 // decodePayload unmarshals one cell payload into its typed form.
 func decodePayload[P any](p grid.Payload) (P, error) {
 	var v P
@@ -105,8 +74,8 @@ func decodeAll[P any](ps []grid.Payload) ([]P, error) {
 }
 
 // wantCells checks a section received exactly its cell count (a merge
-// precondition: the emitter only merges complete sections, and runGrid
-// fails fast, so a mismatch means mis-enumerated coordinates).
+// precondition: the emitter only merges complete sections, so a mismatch
+// means mis-enumerated coordinates).
 func wantCells(ps []grid.Payload, n int) error {
 	if len(ps) != n {
 		return fmt.Errorf("got %d cell payloads, want %d", len(ps), n)

@@ -125,10 +125,34 @@ func TestEmitterFailedSectionSkipped(t *testing.T) {
 	}
 }
 
-// TestRunGridFailsFast checks the programmatic API (RunExp1 etc. use it)
-// surfaces the first cell failure as an error.
+// runGrid runs a section's cells on an in-process pool tuned by opts and
+// returns their payloads in coordinate order, ready for the section's
+// MergeX; the first cell failure is returned as the error instead.
+func runGrid(specs []grid.Spec, opts grid.Options) ([]grid.Payload, error) {
+	var failed error
+	var ps []grid.Payload
+	if _, err := grid.Run(specs, opts, func(r grid.Result) {
+		if r.Err != "" {
+			if failed == nil {
+				failed = fmt.Errorf("%s (%s): %s", r.Coord, r.Kind, r.Err)
+			}
+			return
+		}
+		ps = append(ps, grid.Payload{Coord: r.Coord, Raw: r.Payload})
+	}); err != nil {
+		return nil, err
+	}
+	if failed != nil {
+		return nil, failed
+	}
+	grid.SortPayloads(ps)
+	return ps, nil
+}
+
+// TestRunGridFailsFast checks the tests' grid helper surfaces the first
+// cell failure as an error.
 func TestRunGridFailsFast(t *testing.T) {
-	_, err := runGrid([]grid.Spec{echoSpec("s", 0, 1), echoSpec("s", 1, -5)})
+	_, err := runGrid([]grid.Spec{echoSpec("s", 0, 1), echoSpec("s", 1, -5)}, grid.Options{})
 	if err == nil || !strings.Contains(err.Error(), "negative v") {
 		t.Fatalf("err = %v, want the failing cell's error", err)
 	}

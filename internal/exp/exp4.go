@@ -72,18 +72,6 @@ func MergeExp4(ps []grid.Payload) (*Exp4Result, error) {
 	return res, nil
 }
 
-// RunExp4 executes the real-application experiment: the four-step Nighres
-// cortical reconstruction workflow (Table II) on a single node with local
-// I/O, comparing the cacheless baseline and the page-cache model against
-// the real proxy. Cells fan out over the default in-process pool.
-func RunExp4() (*Exp4Result, error) {
-	ps, err := runGrid(Exp4Cells("exp4"))
-	if err != nil {
-		return nil, fmt.Errorf("exp4: %w", err)
-	}
-	return MergeExp4(ps)
-}
-
 // runExp4Cell executes one stack's Nighres run.
 func runExp4Cell(a exp4Args) (*exp4Payload, error) {
 	var rig *LocalRig

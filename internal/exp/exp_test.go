@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/grid"
 	"repro/internal/units"
 )
 
@@ -15,7 +16,11 @@ import (
 
 func TestExp1HeadlineErrorReduction(t *testing.T) {
 	for _, gb := range []int64{20, 100} {
-		res, err := RunExp1(gb * units.GB)
+		ps, err := runGrid(Exp1Cells("exp1", gb*units.GB), grid.Options{})
+		if err != nil {
+			t.Fatalf("%dGB: %v", gb, err)
+		}
+		res, err := MergeExp1(gb*units.GB, ps)
 		if err != nil {
 			t.Fatalf("%dGB: %v", gb, err)
 		}
@@ -42,11 +47,19 @@ func TestExp1WrenchErrorDropsAt100GB(t *testing.T) {
 	// Paper: "WRENCH simulation errors were substantially lower with 100 GB
 	// files than with 20 GB files" (part of the data no longer fits in
 	// cache, so a cacheless model is less wrong).
-	res20, err := RunExp1(20 * units.GB)
+	ps20, err := runGrid(Exp1Cells("exp1", 20*units.GB), grid.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res100, err := RunExp1(100 * units.GB)
+	res20, err := MergeExp1(20*units.GB, ps20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps100, err := runGrid(Exp1Cells("exp1", 100*units.GB), grid.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res100, err := MergeExp1(100*units.GB, ps100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +81,11 @@ func TestExp1IntermediateSizes(t *testing.T) {
 	// headline reduction holds at those sizes, and errors vary smoothly
 	// between the 20 GB and 100 GB regimes.
 	for _, gb := range []int64{20, 50, 75, 100} {
-		res, err := RunExp1(gb * units.GB)
+		ps, err := runGrid(Exp1Cells("exp1", gb*units.GB), grid.Options{})
+		if err != nil {
+			t.Fatalf("%dGB: %v", gb, err)
+		}
+		res, err := MergeExp1(gb*units.GB, ps)
 		if err != nil {
 			t.Fatalf("%dGB: %v", gb, err)
 		}
@@ -90,7 +107,11 @@ func TestExp1PysimAgreesWithEngine(t *testing.T) {
 	// The paper validates its WRENCH implementation by agreement with the
 	// prototype ("exhibited nearly identical memory profiles"). At 20 GB
 	// (no memory pressure) the two must match op-for-op.
-	res, err := RunExp1(20 * units.GB)
+	ps, err := runGrid(Exp1Cells("exp1", 20*units.GB), grid.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := MergeExp1(20*units.GB, ps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +129,11 @@ func TestExp1PysimAgreesWithEngine(t *testing.T) {
 }
 
 func TestExp1MemoryProfilesConsistent(t *testing.T) {
-	res, err := RunExp1(20 * units.GB)
+	ps, err := runGrid(Exp1Cells("exp1", 20*units.GB), grid.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := MergeExp1(20*units.GB, ps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +160,11 @@ func TestExp1MemoryProfilesConsistent(t *testing.T) {
 func TestExp1CacheContentsAllFilesCached20GB(t *testing.T) {
 	// Paper Fig 4c: "With 20 GB files, the simulated cache content exactly
 	// matched reality, since all files fitted in page cache."
-	res, err := RunExp1(20 * units.GB)
+	ps, err := runGrid(Exp1Cells("exp1", 20*units.GB), grid.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := MergeExp1(20*units.GB, ps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +181,11 @@ func TestExp1CacheContentsAllFilesCached20GB(t *testing.T) {
 }
 
 func TestExp2Shapes(t *testing.T) {
-	res, err := RunExp2([]int{1, 16, 32}, 2)
+	ps, err := runGrid(ConcurrentCells("exp2", false, 3*units.GB, []int{1, 16, 32}, 2), grid.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := MergeConcurrent(false, []int{1, 16, 32}, 2, ps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +217,11 @@ func TestExp2Shapes(t *testing.T) {
 }
 
 func TestExp3WritesDiskBoundForAll(t *testing.T) {
-	res, err := RunExp3([]int{1, 16}, 2)
+	ps, err := runGrid(ConcurrentCells("exp3", true, 3*units.GB, []int{1, 16}, 2), grid.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := MergeConcurrent(true, []int{1, 16}, 2, ps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +249,11 @@ func TestExp3WritesDiskBoundForAll(t *testing.T) {
 }
 
 func TestExp4NighresErrorReduction(t *testing.T) {
-	res, err := RunExp4()
+	ps, err := runGrid(Exp4Cells("exp4"), grid.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := MergeExp4(ps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +272,11 @@ func TestExp4NighresErrorReduction(t *testing.T) {
 }
 
 func TestSimTimeScalesLinearly(t *testing.T) {
-	res, err := RunSimTime([]int{1, 8, 16, 24, 32})
+	ps, err := runGrid(Fig8Cells("fig8", []int{1, 8, 16, 24, 32}), grid.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := MergeFig8([]int{1, 8, 16, 24, 32}, false, ps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +295,11 @@ func TestSimTimeScalesLinearly(t *testing.T) {
 }
 
 func TestSimTimeTimingsGate(t *testing.T) {
-	res, err := RunSimTime([]int{1, 2})
+	ps, err := runGrid(Fig8Cells("fig8", []int{1, 2}), grid.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := MergeFig8([]int{1, 2}, false, ps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +331,11 @@ func TestSimTimeTimingsGate(t *testing.T) {
 }
 
 func TestAblationOrdering(t *testing.T) {
-	res, err := RunAblations(100 * units.GB)
+	ps, err := runGrid(AblationCells("ablations", 100*units.GB), grid.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := MergeAblation(100*units.GB, ps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +363,11 @@ func TestAblationOrdering(t *testing.T) {
 }
 
 func TestPolicyAblationQuick(t *testing.T) {
-	res, err := RunPolicyAblation(true)
+	ps, err := runGrid(PolicyCells("policies", true), grid.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := MergePolicy(true, ps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +424,11 @@ func TestPolicyAblationQuick(t *testing.T) {
 }
 
 func TestRendersProduceOutput(t *testing.T) {
-	res1, err := RunExp1(20 * units.GB)
+	ps1, err := runGrid(Exp1Cells("exp1", 20*units.GB), grid.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res1, err := MergeExp1(20*units.GB, ps1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +442,11 @@ func TestRendersProduceOutput(t *testing.T) {
 			t.Fatalf("render missing %q", want)
 		}
 	}
-	res2, err := RunExp2([]int{1, 4}, 1)
+	ps2, err := runGrid(ConcurrentCells("exp2", false, 3*units.GB, []int{1, 4}, 1), grid.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res2, err := MergeConcurrent(false, []int{1, 4}, 1, ps2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,7 +516,11 @@ func TestPaperConstants(t *testing.T) {
 }
 
 func TestWritebackAblationQuick(t *testing.T) {
-	res, err := RunWritebackAblation(true)
+	ps, err := runGrid(WritebackCells("writebacks", true), grid.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := MergeWriteback(true, ps)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package scenario
 import (
 	"fmt"
 	"io"
+	"os"
 	"sort"
 
 	"repro/internal/cgroup"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/storage"
 	"repro/internal/units"
+	"repro/internal/workflow"
 	"repro/internal/workload"
 )
 
@@ -21,6 +23,9 @@ type RunOpts struct {
 	// set (the -chaos-seed flag).
 	ChaosSeed    int64
 	OverrideSeed bool
+	// FastForward, when set, skips steady-state iterations of an
+	// iterative workload analytically (see engine.EnableFastForward).
+	FastForward *engine.FFwdConfig
 }
 
 // AssertionResult is one evaluated assertion.
@@ -42,14 +47,29 @@ type Result struct {
 	// WorkloadErrs maps "name[i]" (per instance) to its error, nil when the
 	// instance completed.
 	WorkloadErrs map[string]error
-	Assertions   []AssertionResult
-	Passed       bool
+	// Workflows maps each workflow workload's name to its per-task report.
+	Workflows  map[string]*workflow.RunReport
+	Assertions []AssertionResult
+	Passed     bool
 
 	// groups and srvMgrs keep the cgroup and NFS-server cache managers
 	// reachable after the run, so snapshotState can capture them for
 	// warm-starting another run.
 	groups  map[string]*cgroup.Group
 	srvMgrs map[string]*core.Manager
+}
+
+// FirstErr returns the first failed workload instance's error, in spawn
+// order (nil when every instance completed).
+func (r *Result) FirstErr() error {
+	for _, w := range r.Doc.Workloads {
+		for i := 0; i < max(w.Instances, 1); i++ {
+			if err := r.WorkloadErrs[fmt.Sprintf("%s[%d]", w.Name, i)]; err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // Report writes the deterministic run report: chaos log, assertion
@@ -116,6 +136,9 @@ func Run(d *Doc, opts RunOpts) (*Result, error) {
 	chunk, _ := units.ParseBytes(chunkStr)
 
 	sim := engine.NewSimulation()
+	if opts.FastForward != nil {
+		sim.EnableFastForward(*opts.FastForward)
+	}
 	plat, err := sim.BuildPlatform(d.Platform, mode, chunk, d.DirtyRatio)
 	if err != nil {
 		return nil, err
@@ -124,6 +147,7 @@ func Run(d *Doc, opts RunOpts) (*Result, error) {
 		Doc: d, Sim: sim,
 		Hosts: plat.Hosts, Partitions: plat.Partitions,
 		WorkloadErrs: make(map[string]error),
+		Workflows:    make(map[string]*workflow.RunReport),
 	}
 
 	// Chaos registries. Disks register as "host/disk" and, when the bare
@@ -251,6 +275,7 @@ func Run(d *Doc, opts RunOpts) (*Result, error) {
 		wl       WorkloadDoc
 		instance int
 		key      string
+		wf       *workflow.Workflow // workflow workloads only
 	}
 	var apps []appSpec
 	instance := 0
@@ -262,11 +287,16 @@ func Run(d *Doc, opts RunOpts) (*Result, error) {
 		}
 		for i := 0; i < n; i++ {
 			part := plat.Partitions[wl.Partition]
+			as := appSpec{wl: wl, instance: instance, key: fmt.Sprintf("%s[%d]", wl.Name, i)}
+			size, _ := units.ParseBytes(wl.Size)
 			switch wl.Kind {
 			case "synthetic":
-				size, _ := units.ParseBytes(wl.Size)
 				files := workload.SyntheticFiles(instance)
 				if err := createInput(sim, part, files[0], size); err != nil {
+					return nil, err
+				}
+			case "iterative":
+				if err := createInput(sim, part, iterInput, size); err != nil {
 					return nil, err
 				}
 			case "nighres":
@@ -276,8 +306,21 @@ func Run(d *Doc, opts RunOpts) (*Result, error) {
 						return nil, err
 					}
 				}
+			case "workflow":
+				if as.wf, err = loadWorkflow(wl.WorkflowFile); err != nil {
+					return nil, err
+				}
+				sources, err := as.wf.SourceSizes()
+				if err != nil {
+					return nil, fmt.Errorf("scenario: workload %q: %w", wl.Name, err)
+				}
+				for _, f := range sources {
+					if err := createInput(sim, part, f.Name, f.Size); err != nil {
+						return nil, err
+					}
+				}
 			}
-			apps = append(apps, appSpec{wl: wl, instance: instance, key: fmt.Sprintf("%s[%d]", wl.Name, i)})
+			apps = append(apps, as)
 			instance++
 		}
 	}
@@ -286,20 +329,33 @@ func Run(d *Doc, opts RunOpts) (*Result, error) {
 		wl := as.wl
 		hr := plat.Hosts[wl.Host]
 		part := plat.Partitions[wl.Partition]
+		if as.wf != nil {
+			rep, err := workflow.Spawn(sim, hr, part, as.wf)
+			if err != nil {
+				return nil, fmt.Errorf("scenario: workload %q: %w", wl.Name, err)
+			}
+			res.Workflows[wl.Name] = rep
+			continue
+		}
 		body := func(a *engine.App) error {
 			if wl.StartS > 0 {
 				a.Sleep(wl.StartS)
 			}
 			r := &workload.EngineRunner{App: a, Part: part}
+			size, _ := units.ParseBytes(wl.Size)
+			cpu := workload.SyntheticCPU(size)
+			if wl.CPUS != nil {
+				cpu = *wl.CPUS
+			}
 			switch wl.Kind {
 			case "synthetic":
-				size, _ := units.ParseBytes(wl.Size)
-				cpu := wl.CPUS
-				if cpu == 0 {
-					cpu = workload.SyntheticCPU(size)
-				}
 				return workload.RunSynthetic(r, workload.SyntheticSpec{
 					Size: size, CPU: cpu, Files: workload.SyntheticFiles(as.instance),
+				})
+			case "iterative":
+				return workload.RunIterative(r, workload.IterativeSpec{
+					Iterations: wl.Iterations, Size: size, CPU: cpu,
+					Input: iterInput, Output: iterOutput,
 				})
 			default:
 				return workload.RunNighres(r)
@@ -355,6 +411,11 @@ func Run(d *Doc, opts RunOpts) (*Result, error) {
 	}
 	if err := inj.Err(); err != nil {
 		return nil, err
+	}
+	for _, as := range apps {
+		if as.wf != nil {
+			res.WorkloadErrs[as.key] = res.Workflows[as.wl.Name].Err()
+		}
 	}
 	res.Makespan = sim.Makespan()
 	res.ChaosLog = inj.AppliedLog()
@@ -451,6 +512,23 @@ func dirtyAssertHosts(d *Doc) []string {
 		}
 	}
 	return out
+}
+
+// File names of the iterative pipeline. Snapshots record cached blocks by
+// file name, so these must stay fixed for saved iterative runs to restore.
+const (
+	iterInput  = "iter_input"
+	iterOutput = "iter_scratch"
+)
+
+// loadWorkflow reads a workflow description file.
+func loadWorkflow(path string) (*workflow.Workflow, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("scenario: %v", err)
+	}
+	defer f.Close()
+	return workflow.LoadJSON(f)
 }
 
 func createInput(sim *engine.Simulation, part *storage.Partition, name string, size int64) error {

@@ -1,13 +1,15 @@
 // Package scenario is the declarative front door to the simulator: a JSON
 // document describes a platform (reusing the platform.Config schema), NFS
-// mounts, cgroups, pre-existing files, a workload mix built from the
-// existing synthetic and Nighres primitives, a chaos stanza of timed faults
-// (see internal/chaos), and end-of-run assertions — makespan bounds,
-// read-hit-ratio floors, all-dirty-flushed, no-data-loss, per-workload
-// completion. Load validates fail-fast in the platform-config style; Run
-// maps the document onto an engine.Simulation and evaluates the assertions
-// into a deterministic report, so fault scenarios double as regression
-// tests (`pcsim -scenario file.json`).
+// mounts, cgroups, pre-existing files, a cache warmup, a workload mix built
+// from the synthetic, Nighres, repeated-iteration and JSON-workflow
+// primitives, a chaos stanza of timed faults (see internal/chaos), and
+// end-of-run assertions — makespan bounds, read-hit-ratio floors,
+// all-dirty-flushed, no-data-loss, per-workload completion. Load validates
+// fail-fast in the platform-config style; Run maps the document onto an
+// engine.Simulation and evaluates the assertions into a deterministic
+// report, so fault scenarios double as regression tests (`pcsim -scenario
+// file.json`). Run is the only place pcsim builds a simulation: its other
+// modes compile their flags into a Doc.
 package scenario
 
 import (
@@ -140,18 +142,28 @@ type FileDoc struct {
 type WorkloadDoc struct {
 	Name string `json:"name"`
 	Host string `json:"host"`
-	// Kind is synthetic (the paper's three-task pipeline) or nighres (the
-	// Table II workflow).
+	// Kind is synthetic (the paper's three-task pipeline), nighres (the
+	// Table II workflow), iterative (the repeated-iteration pipeline, which
+	// reads iter_input and rewrites iter_scratch every iteration) or
+	// workflow (a JSON task DAG read from WorkflowFile).
 	Kind string `json:"kind"`
 	// Partition receives the workload's writes (a local partition or a
 	// mounted remote one).
 	Partition string `json:"partition"`
 	// Instances is the number of concurrent copies (default 1).
 	Instances int `json:"instances,omitempty"`
-	// Size is the synthetic per-file size (required for synthetic).
+	// Size is the per-file size (required for synthetic and iterative).
 	Size string `json:"size,omitempty"`
-	// CPUS is the injected CPU seconds per synthetic task (0: Table I fit).
-	CPUS float64 `json:"cpuS,omitempty"`
+	// CPUS is the injected CPU seconds per synthetic or iterative task
+	// (omitted: the Table I fit for Size; 0 injects no CPU time).
+	CPUS *float64 `json:"cpuS,omitempty"`
+	// Iterations is the iterative pipeline's iteration count (required for
+	// iterative).
+	Iterations int `json:"iterations,omitempty"`
+	// WorkflowFile is the workflow description JSON (required for
+	// workflow; resolved relative to the scenario file). Source files are
+	// created on Partition at the largest size any task reads.
+	WorkflowFile string `json:"workflowFile,omitempty"`
 	// Cgroup places the workload in a cgroup on its host.
 	Cgroup string `json:"cgroup,omitempty"`
 	// StartS delays the workload's start.
@@ -285,8 +297,19 @@ func LoadReader(r io.Reader, baseDir string) (*Doc, error) {
 		}
 		d.Platform = cfg
 	}
-	if d.Warmup != nil && d.Warmup.SnapshotFile != "" && !filepath.IsAbs(d.Warmup.SnapshotFile) {
-		d.Warmup.SnapshotFile = filepath.Join(baseDir, d.Warmup.SnapshotFile)
+	resolve := func(path *string) {
+		if *path != "" && !filepath.IsAbs(*path) {
+			*path = filepath.Join(baseDir, *path)
+		}
+	}
+	for i := range d.Workloads {
+		resolve(&d.Workloads[i].WorkflowFile)
+	}
+	if d.Warmup != nil {
+		resolve(&d.Warmup.SnapshotFile)
+		for i := range d.Warmup.Workloads {
+			resolve(&d.Warmup.Workloads[i].WorkflowFile)
+		}
 	}
 	if err := d.Validate(); err != nil {
 		return nil, err
@@ -330,8 +353,8 @@ func (d *Doc) Validate() error {
 			return fmt.Errorf("scenario: %s: bad chunk: %v", d.Name, err)
 		}
 	}
-	if d.DirtyRatio < 0 || d.DirtyRatio >= 1 {
-		return fmt.Errorf("scenario: %s: dirtyRatio must be in [0,1)", d.Name)
+	if d.DirtyRatio < 0 || d.DirtyRatio > 1 {
+		return fmt.Errorf("scenario: %s: dirtyRatio must be in [0,1]", d.Name)
 	}
 	if d.TraceMemS < 0 {
 		return fmt.Errorf("scenario: %s: negative traceMemS", d.Name)
@@ -533,18 +556,31 @@ func validateWorkload(w WorkloadDoc, where string, hosts map[string]bool, partOw
 			where, w.Name, w.Partition, w.Host)
 	}
 	switch w.Kind {
-	case "synthetic":
+	case "synthetic", "iterative":
 		if n, err := units.ParseBytes(w.Size); err != nil || n <= 0 {
-			return fmt.Errorf("scenario: %s %q: synthetic needs a size", where, w.Name)
+			return fmt.Errorf("scenario: %s %q: %s needs a size", where, w.Name, w.Kind)
+		}
+		if w.Kind == "iterative" && w.Iterations <= 0 {
+			return fmt.Errorf("scenario: %s %q: iterative needs positive iterations", where, w.Name)
 		}
 	case "nighres":
+	case "workflow":
+		if w.WorkflowFile == "" {
+			return fmt.Errorf("scenario: %s %q: workflow needs a workflowFile", where, w.Name)
+		}
+		if w.Cgroup != "" || w.StartS != 0 {
+			return fmt.Errorf("scenario: %s %q: a workflow takes no cgroup or startS", where, w.Name)
+		}
 	default:
-		return fmt.Errorf("scenario: %s %q: unknown kind %q (want synthetic or nighres)", where, w.Name, w.Kind)
+		return fmt.Errorf("scenario: %s %q: unknown kind %q (want synthetic, nighres, iterative or workflow)", where, w.Name, w.Kind)
 	}
 	if w.Instances < 0 {
 		return fmt.Errorf("scenario: %s %q: negative instances", where, w.Name)
 	}
-	if w.CPUS < 0 {
+	if w.Instances > 1 && (w.Kind == "iterative" || w.Kind == "workflow") {
+		return fmt.Errorf("scenario: %s %q: %s runs one instance", where, w.Name, w.Kind)
+	}
+	if w.CPUS != nil && *w.CPUS < 0 {
 		return fmt.Errorf("scenario: %s %q: negative cpuS", where, w.Name)
 	}
 	if w.StartS < 0 {

@@ -42,6 +42,8 @@ func nfsPlat() *platform.Config {
 	return c
 }
 
+func f64(v float64) *float64 { return &v }
+
 func baseDoc() *Doc {
 	return &Doc{
 		Name:     "t",
@@ -49,7 +51,7 @@ func baseDoc() *Doc {
 		Chunk:    "10MB",
 		Workloads: []WorkloadDoc{{
 			Name: "app", Host: "node0", Kind: "synthetic",
-			Partition: "scratch", Size: "100MB", CPUS: 0.1,
+			Partition: "scratch", Size: "100MB", CPUS: f64(0.1),
 		}},
 	}
 }
@@ -176,7 +178,7 @@ func TestServerRestartScenario(t *testing.T) {
 			}},
 			Workloads: []WorkloadDoc{{
 				Name: "app", Host: "node0", Kind: "synthetic",
-				Partition: "export", Size: "100MB", CPUS: 0.1,
+				Partition: "export", Size: "100MB", CPUS: f64(0.1),
 			}},
 			Chaos: &ChaosDoc{Events: []EventDoc{
 				{AtS: 0.5, Kind: "server-restart", Target: "export", DurS: 30},
@@ -262,7 +264,7 @@ func TestImplicitCompletionCatchesFailures(t *testing.T) {
 		}},
 		Workloads: []WorkloadDoc{{
 			Name: "app", Host: "node0", Kind: "synthetic",
-			Partition: "export", Size: "100MB", CPUS: 0.1,
+			Partition: "export", Size: "100MB", CPUS: f64(0.1),
 		}},
 		Chaos: &ChaosDoc{Events: []EventDoc{
 			{AtS: 0.5, Kind: "server-restart", Target: "export", DurS: 30},
@@ -292,6 +294,15 @@ func TestValidateRejects(t *testing.T) {
 		{"bad workload host", func(d *Doc) { d.Workloads[0].Host = "ghost" }, "unknown host"},
 		{"bad workload kind", func(d *Doc) { d.Workloads[0].Kind = "quantum" }, "unknown kind"},
 		{"synthetic needs size", func(d *Doc) { d.Workloads[0].Size = "" }, "needs a size"},
+		{"negative cpuS", func(d *Doc) { d.Workloads[0].CPUS = f64(-1) }, "negative cpuS"},
+		{"iterative needs iterations", func(d *Doc) { d.Workloads[0].Kind = "iterative" }, "positive iterations"},
+		{"iterative runs one instance", func(d *Doc) {
+			d.Workloads[0].Kind, d.Workloads[0].Iterations, d.Workloads[0].Instances = "iterative", 5, 2
+		}, "one instance"},
+		{"workflow needs file", func(d *Doc) { d.Workloads[0].Kind = "workflow" }, "workflowFile"},
+		{"workflow takes no startS", func(d *Doc) {
+			d.Workloads[0].Kind, d.Workloads[0].WorkflowFile, d.Workloads[0].StartS = "workflow", "wf.json", 1
+		}, "no cgroup or startS"},
 		{"unknown cgroup ref", func(d *Doc) { d.Workloads[0].Cgroup = "g9" }, "unknown cgroup"},
 		{"dup workload", func(d *Doc) { d.Workloads = append(d.Workloads, d.Workloads[0]) }, "duplicate workload"},
 		{"bad cgroup limit", func(d *Doc) {
@@ -352,6 +363,70 @@ func TestValidateRejects(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
 		}
+	}
+}
+
+// TestIterativeWorkload: the iterative kind runs the repeated-iteration
+// pipeline on iter_input/iter_scratch, an explicit cpuS 0 injects no CPU
+// time, and RunOpts.FastForward skips its steady iterations analytically
+// within the fast-forward tolerance of the exact run.
+func TestIterativeWorkload(t *testing.T) {
+	d := baseDoc()
+	d.Workloads[0].Kind, d.Workloads[0].Iterations, d.Workloads[0].CPUS = "iterative", 40, f64(0)
+	exact, err := Run(d, RunOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := exact.FirstErr(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := exact.Sim.NS.Locate(iterInput); err != nil {
+		t.Fatal(err)
+	}
+	if d := exact.Sim.Log.Duration("compute", -1); d != 0 {
+		t.Errorf("cpuS 0: %gs of compute, want none", d)
+	}
+	ff, err := Run(d, RunOpts{FastForward: &engine.FFwdConfig{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := ff.Sim.FFwdReport()
+	if !rep.Steady || rep.IterationsSkipped == 0 {
+		t.Fatalf("fast-forward report %+v: no iterations skipped", rep)
+	}
+	if e := (ff.Makespan - exact.Makespan) / exact.Makespan; e > 0.01 || e < -0.01 {
+		t.Errorf("fast-forward makespan %g vs exact %g", ff.Makespan, exact.Makespan)
+	}
+}
+
+// TestWorkflowWorkload: the workflow kind loads its file relative to the
+// scenario, creates the source files at the largest size read, and reports
+// per-task timings; a missing file is a Run error.
+func TestWorkflowWorkload(t *testing.T) {
+	const js = `{
+	  "name": "wf",
+	  "platformFile": "cluster.json",
+	  "workloads": [{"name": "nr", "host": "node0", "kind": "workflow",
+	                 "partition": "scratch", "workflowFile": "nighres.json"}]
+	}`
+	d, err := LoadReader(strings.NewReader(js), "../../testdata")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(d, RunOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Passed {
+		t.Fatalf("workflow failed: %v", res.FirstErr())
+	}
+	rep := res.Workflows["nr"]
+	if rep == nil || rep.Name != "nighres" || len(rep.Timings) != 4 || rep.Makespan <= 0 {
+		t.Fatalf("workflow report %+v", rep)
+	}
+	d.Workloads[0].WorkflowFile = "/nonexistent.json"
+	if _, err := Run(d, RunOpts{}); err == nil {
+		t.Fatal("missing workflow file accepted")
 	}
 }
 

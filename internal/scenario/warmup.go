@@ -204,9 +204,19 @@ func (r *Result) snapshotState() (*snapshot.File, error) {
 	return f, nil
 }
 
-// SnapshotState exposes the finished run's cache state for snapshot-out
-// tooling (pcsim -snapshot-out with -scenario).
-func (r *Result) SnapshotState() (*snapshot.File, error) { return r.snapshotState() }
+// WriteSnapshot saves the finished run's cache state to path, for a later
+// run's warmup snapshotFile (pcsim -snapshot-out). A run without any page
+// cache has no state to save, which is an error.
+func (r *Result) WriteSnapshot(path string) error {
+	f, err := r.snapshotState()
+	if err != nil {
+		return err
+	}
+	if len(f.Hosts)+len(f.Cgroups)+len(f.Servers) == 0 {
+		return fmt.Errorf("scenario: snapshot: no page cache in this run, so no state to snapshot")
+	}
+	return snapshot.WriteFile(path, f)
+}
 
 func sortedStateKeys(m map[string]*core.ManagerState) []string {
 	keys := make([]string, 0, len(m))

@@ -1,10 +1,11 @@
 // Package snapshot defines the versioned on-disk cache-snapshot format: the
 // complete cache state of a simulation — host page caches, per-cgroup
 // caches, NFS-server caches (all as core.ManagerState) plus the backing
-// files the cached blocks refer to — serialized as JSON. It is written by
-// cmd/pcsim (-snapshot-out) and consumed by -snapshot-in and the scenario
-// DSL's "warmup": {"snapshotFile": ...} stanza, so a steady state captured
-// once can warm-start any number of later runs.
+// files the cached blocks refer to — serialized as JSON. internal/scenario
+// writes it (Result.WriteSnapshot, behind pcsim -snapshot-out) and reads it
+// back for a "warmup": {"snapshotFile": ...} stanza (which pcsim -snapshot-in
+// compiles to), so a steady state captured once can warm-start any number
+// of later runs.
 //
 // Timestamps inside the ManagerStates are in the saving run's simulated
 // clock; SavedAtSimS records that clock so restorers can rebase block times
@@ -20,15 +21,10 @@ import (
 	"repro/internal/core"
 )
 
-// Version is the file-format version written by this build; Decode accepts
-// it and VersionLegacy. Version 2 added per-device writeback domains inside
-// the embedded core.ManagerStates (core.ManagerStateVersionPerDevice);
-// version-1 files — whose managers are all single-domain — remain readable
-// unchanged.
-const (
-	Version       = 2
-	VersionLegacy = 1
-)
+// Version is the file-format version this build writes and the only one
+// Decode accepts. Version 2 added per-device writeback domains inside the
+// embedded core.ManagerStates (core.ManagerStateVersionPerDevice).
+const Version = 2
 
 // FileMeta describes one backing file the snapshot's cache state refers to.
 // Restorers recreate missing files before restoring managers, so restored
@@ -72,8 +68,8 @@ func Decode(r io.Reader) (*File, error) {
 	if err := dec.Decode(&f); err != nil {
 		return nil, fmt.Errorf("snapshot: decoding: %w", err)
 	}
-	if f.Version != Version && f.Version != VersionLegacy {
-		return nil, fmt.Errorf("snapshot: file version %d, this build reads %d and %d", f.Version, Version, VersionLegacy)
+	if f.Version != Version {
+		return nil, fmt.Errorf("snapshot: file version %d, this build reads only version %d", f.Version, Version)
 	}
 	return &f, nil
 }

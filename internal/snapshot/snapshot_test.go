@@ -82,10 +82,19 @@ func TestDecodeRejects(t *testing.T) {
 	if _, err := Decode(strings.NewReader(`{"version": 99}`)); err == nil {
 		t.Error("future version accepted")
 	}
-	if _, err := Decode(strings.NewReader(`{"version": 1, "bogus": true}`)); err == nil {
+	if _, err := Decode(strings.NewReader(`{"version": 2, "bogus": true}`)); err == nil {
 		t.Error("unknown field accepted")
 	}
 	if _, err := Decode(strings.NewReader(`not json`)); err == nil {
 		t.Error("malformed document accepted")
+	}
+}
+
+// TestDecodeRejectsVersion1: version-1 files are no longer read, and the
+// error names the rejected version.
+func TestDecodeRejectsVersion1(t *testing.T) {
+	_, err := Decode(strings.NewReader(`{"version": 1, "savedAtSimS": 3}`))
+	if err == nil || !strings.Contains(err.Error(), "file version 1") {
+		t.Fatalf("version 1: err = %v, want a rejection naming version 1", err)
 	}
 }

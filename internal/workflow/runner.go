@@ -15,10 +15,26 @@ type TaskTiming struct {
 	Start, End float64
 }
 
-// RunReport summarizes a workflow execution.
+// RunReport summarizes a workflow execution. Spawn returns it empty; the
+// task processes fill it in as they run.
 type RunReport struct {
+	Name     string // the workflow's name
 	Timings  map[string]TaskTiming
 	Makespan float64
+
+	order []string                      // task names in workflow order
+	done  map[string]*des.Future[error] // each task's outcome
+}
+
+// Err returns the first failed task's error, in workflow task order (nil
+// when every finished task succeeded).
+func (r *RunReport) Err() error {
+	for _, name := range r.order {
+		if err, _ := r.done[name].Peek(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // OrderedTimings returns the timings sorted by start time (ties by name).
@@ -36,16 +52,16 @@ func (r *RunReport) OrderedTimings() []TaskTiming {
 	return out
 }
 
-// Run executes the workflow on one engine host: every task becomes an
+// Spawn starts the workflow on one engine host: every task becomes an
 // application process that waits for its dependencies, reads its inputs
 // (charging anonymous memory), computes on one core, writes its outputs to
 // part, and releases its memory — the task semantics of the paper's
 // applications (§III.D). Independent tasks run concurrently, bounded by the
 // host's cores for compute and by fluid sharing for I/O.
 //
-// Source files must already exist on part (see Workflow.SourceFiles). Run
-// drives sim.Run itself and returns per-task timings.
-func Run(sim *engine.Simulation, host *engine.HostRuntime, part *storage.Partition, w *Workflow) (*RunReport, error) {
+// Source files must already exist on storage (see SourceSizes). The
+// returned report fills in as sim runs; its Err reports task failures.
+func Spawn(sim *engine.Simulation, host *engine.HostRuntime, part *storage.Partition, w *Workflow) (*RunReport, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err
 	}
@@ -66,8 +82,13 @@ func Run(sim *engine.Simulation, host *engine.HostRuntime, part *storage.Partiti
 	if err != nil {
 		return nil, err
 	}
-	report := &RunReport{Timings: make(map[string]TaskTiming, len(w.order))}
-	done := make(map[string]*des.Future[error], len(w.order))
+	report := &RunReport{
+		Name:    w.Name,
+		Timings: make(map[string]TaskTiming, len(w.order)),
+		order:   w.order,
+		done:    make(map[string]*des.Future[error], len(w.order)),
+	}
+	done := report.done
 	for _, name := range w.order {
 		done[name] = des.NewFuture[error](sim.K)
 	}
@@ -97,15 +118,20 @@ func Run(sim *engine.Simulation, host *engine.HostRuntime, part *storage.Partiti
 			return nil
 		})
 	}
+	return report, nil
+}
+
+// Run spawns the workflow (see Spawn), drives sim.Run, and returns the
+// per-task timings with the first task failure, if any.
+func Run(sim *engine.Simulation, host *engine.HostRuntime, part *storage.Partition, w *Workflow) (*RunReport, error) {
+	report, err := Spawn(sim, host, part, w)
+	if err != nil {
+		return nil, err
+	}
 	if err := sim.Run(); err != nil {
 		return nil, err
 	}
-	for _, name := range w.order {
-		if err, _ := done[name].Peek(); err != nil {
-			return report, err
-		}
-	}
-	return report, nil
+	return report, report.Err()
 }
 
 func runTask(a *engine.App, part *storage.Partition, t *Task) error {

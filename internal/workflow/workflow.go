@@ -127,6 +127,33 @@ func (w *Workflow) SourceFiles() ([]string, error) {
 	return out, nil
 }
 
+// SourceSizes returns every source file (in SourceFiles order) with the size
+// to create it at: the largest byte count any task reads from it. A source
+// that only whole-file reads ("bytes" omitted) refer to has no size, which
+// is an error.
+func (w *Workflow) SourceSizes() ([]OutFile, error) {
+	sources, err := w.SourceFiles()
+	if err != nil {
+		return nil, err
+	}
+	out := make([]OutFile, 0, len(sources))
+	for _, src := range sources {
+		var size int64
+		for _, name := range w.order {
+			for _, in := range w.tasks[name].Inputs {
+				if in.Name == src && in.Bytes > size {
+					size = in.Bytes
+				}
+			}
+		}
+		if size <= 0 {
+			return nil, fmt.Errorf("workflow %s: source file %s: no task states its size (use \"bytes\")", w.Name, src)
+		}
+		out = append(out, OutFile{Name: src, Size: size})
+	}
+	return out, nil
+}
+
 // deps returns each task's dependency set (data + control), validated.
 func (w *Workflow) deps() (map[string][]string, error) {
 	prod, err := w.Producers()

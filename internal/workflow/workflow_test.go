@@ -2,6 +2,7 @@ package workflow
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -93,6 +94,24 @@ func TestSourceFiles(t *testing.T) {
 	}
 	if len(src) != 1 || src[0] != "in" {
 		t.Fatalf("sources = %v", src)
+	}
+}
+
+// TestSourceSizes: a source is created at the largest byte count any task
+// reads from it; one that only whole-file reads name has no size.
+func TestSourceSizes(t *testing.T) {
+	w := New("fan")
+	w.MustAdd(Task{Name: "a", Inputs: []FileRef{{Name: "in", Bytes: 300}}})
+	w.MustAdd(Task{Name: "b", Inputs: []FileRef{{Name: "in", Bytes: 700}, {Name: "aux", Bytes: 5}}})
+	got, err := w.SourceSizes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []OutFile{{Name: "aux", Size: 5}, {Name: "in", Size: 700}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("sizes = %v, want %v", got, want)
+	}
+	if _, err := chain(t).SourceSizes(); err == nil || !strings.Contains(err.Error(), "source file in") {
+		t.Fatalf("whole-file-only source: err = %v", err)
 	}
 }
 
